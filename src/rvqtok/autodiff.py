@@ -13,7 +13,7 @@ from __future__ import annotations
 import builtins
 import math
 import threading
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -274,6 +274,16 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     inv = tuple(np.argsort(axes))
     return _record("transpose", (a,), np.transpose(a.data, axes),
                    lambda g: (np.transpose(g, inv),))
+
+
+def index(a: Tensor, i: int) -> Tensor:
+    """Leading-axis entry a[i]; the backward scatters into zeros."""
+    def bwd(g):
+        ga = np.zeros(a.shape, dtype=g.dtype)
+        ga[i] = g
+        return (ga,)
+
+    return _record("index", (a,), a.data[i], bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -575,36 +585,7 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
 
 
 # ---------------------------------------------------------------------------
-# generic dispatch and the finite-difference harness
-
-_PRIMITIVES: dict[str, Callable] = {
-    "add": add,
-    "mul": mul,
-    "matmul": matmul,
-    "linear": linear,
-    "conv1d": conv1d,
-    "groupnorm": groupnorm,
-    "layernorm": layernorm,
-    "gelu": gelu,
-    "avgpool1d": avgpool1d,
-    "softmax": softmax,
-    "embedding_lookup": embedding_lookup,
-    "concat": concat,
-    "reshape": reshape,
-    "sum": tsum,
-    "mean": tmean,
-}
-
-
-def primitive_forward(op: str, inputs: Iterable, attrs: Mapping | None = None) -> Tensor:
-    """Name-based dispatch into the primitive set (attrs as keyword args)."""
-    if op not in _PRIMITIVES:
-        raise KeyError(f"unknown primitive {op!r}; known: {sorted(_PRIMITIVES)}")
-    fn = _PRIMITIVES[op]
-    attrs = dict(attrs or {})
-    if op in ("concat",):
-        return fn(list(inputs), **attrs)
-    return fn(*inputs, **attrs)
+# the finite-difference harness
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:

@@ -73,3 +73,20 @@ def require_field(config: dict, field: str, expected) -> None:
     if config[field] != expected:
         raise CompatibilityError(
             f"checkpoint field {field!r} is {config[field]!r}, runtime expects {expected!r}")
+
+
+def restore_params(params, arrays: dict[str, np.ndarray], dtype: str) -> None:
+    """Load each parameter from its ``param.<name>`` array, cast to ``dtype``.
+
+    A missing array or a shape that differs from the runtime parameter
+    raises a CompatibilityError naming the parameter.
+    """
+    for p in params:
+        key = f"param.{p.name}"
+        if key not in arrays:
+            raise CompatibilityError(f"checkpoint missing parameter {p.name!r}")
+        if tuple(arrays[key].shape) != p.data.shape:
+            raise CompatibilityError(
+                f"checkpoint field {p.name!r} has shape {arrays[key].shape}, "
+                f"runtime expects {p.data.shape}")
+        p.tensor.data = arrays[key].astype(dtype)

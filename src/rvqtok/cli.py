@@ -25,8 +25,8 @@ from .pretrain import (load_backbone, pretrain, probe_corpus, run_linear_probe,
 from .signals import (Recording, STANDARD_BANDS, SynthSpec, load_recording,
                       save_recording, synth_generate)
 from .spectral import forward_spectrum
-from .tokenizer import (build_windows, eval_per_band, load_tokenizer,
-                        save_tokenizer, train_tokenizer)
+from .tokenizer import (INFERENCE_BATCH, build_windows, eval_per_band,
+                        load_tokenizer, save_tokenizer, train_tokenizer)
 
 SUBCOMMANDS = ("synth-gen", "train-tokenizer", "tokenize", "reconstruct",
                "eval-bands", "spectrum", "pretrain", "probe", "sweep-levels",
@@ -229,11 +229,7 @@ def _cmd_tokenize(run: _Run, args) -> int:
     windows = _windows_for_model(run.cfg, model, recs)
     rows = []
     patch_id = 0
-    bs = 32
-    for lo in range(0, windows.n_windows, bs):
-        sel = np.zeros(windows.n_windows, dtype=bool)
-        sel[lo:lo + bs] = True
-        chunk = windows.subset(sel)
+    for _, chunk in windows.batches(INFERENCE_BATCH):
         idx = model.token_indices(chunk.patches, chunk.channel_idx, chunk.slot_idx)
         W, P, S, N = idx.shape
         for wi in range(W):
@@ -254,10 +250,8 @@ def _cmd_reconstruct(run: _Run, args) -> int:
     for r, rec in enumerate(recs):
         windows = build_windows([rec], w, slots, val_fraction=0.0)
         recon = np.concatenate([
-            model.reconstruct(windows.patches[i:i + 32],
-                              windows.channel_idx[i:i + 32],
-                              windows.slot_idx[i:i + 32])
-            for i in range(0, windows.n_windows, 32)])
+            model.reconstruct(chunk.patches, chunk.channel_idx, chunk.slot_idx)
+            for _, chunk in windows.batches(INFERENCE_BATCH)])
         # stitch patches back into channel rows; windows are channel-major
         covered = windows.n_windows * slots * w
         out = np.zeros((rec.n_channels, covered))
@@ -312,8 +306,7 @@ def _cmd_probe(run: _Run, args) -> int:
     recs, labels = probe_corpus(
         s["probe_recordings_per_class"], s["channels"], s["sample_rate"],
         s["duration"], seed=run.cfg.get("run", "seed") * 10000 + 5000)
-    result = run_linear_probe(backbone, recs, labels,
-                              run.cfg.get("train", "pretrain_slots_per_window"))
+    result = run_linear_probe(backbone, recs, labels, backbone.cfg.slots_per_window)
     rows = [("train", result["train_accuracy"], result["n_train"]),
             ("held-out", result["held_out_accuracy"], result["n_held_out"])]
     run.write_csv("probe_report.csv", "split,accuracy,n", rows)

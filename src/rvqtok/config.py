@@ -186,6 +186,13 @@ class RunConfig:
             raise ConfigError("synth.recordings and synth.channels must be positive")
         if m["fusion"] not in ("sum", "concat"):
             raise ConfigError("model.fusion must be sum or concat")
+        if s["channels"] > m["n_electrodes"]:
+            raise ConfigError(f"synth.channels {s['channels']} exceeds "
+                              f"model.n_electrodes {m['n_electrodes']}")
+        for key in ("slots_per_window", "pretrain_slots_per_window"):
+            if t[key] > m["max_slots"]:
+                raise ConfigError(f"train.{key} {t[key]} exceeds "
+                                  f"model.max_slots {m['max_slots']}")
         # constructing the module configs runs their own constraint checks
         self.tokenizer_config()
         self.pretrain_config()

@@ -17,7 +17,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
 from .optim import Parameter
-from .signals import PatchGrid
 
 #: (kernel, padding) pairs per stage for the four stock branches, widest first.
 STOCK_BRANCH_LADDER = (
@@ -103,6 +102,31 @@ class EncoderConfig:
             b.validate(self.w)
 
 
+def encoder_snapshot(cfg: EncoderConfig) -> dict:
+    """Plain-data form of an encoder config, as checkpoint headers store it."""
+    return {
+        "w": cfg.w, "model_dim": cfg.model_dim, "S": cfg.S, "depth": cfg.depth,
+        "heads": cfg.heads, "mlp_dim": cfg.mlp_dim,
+        "n_electrodes": cfg.n_electrodes, "max_slots": cfg.max_slots,
+        "qk_norm": cfg.qk_norm, "layer_scale_init": cfg.layer_scale_init,
+        "branches": [{"filters": list(b.filters), "kernels": list(b.kernels),
+                      "paddings": list(b.paddings), "pools": list(b.pools),
+                      "groups": b.groups} for b in cfg.branches],
+    }
+
+
+def encoder_from_snapshot(snap: dict) -> EncoderConfig:
+    """Inverse of :func:`encoder_snapshot`."""
+    branches = [BranchConfig(filters=tuple(b["filters"]), kernels=tuple(b["kernels"]),
+                             paddings=tuple(b["paddings"]), pools=tuple(b["pools"]),
+                             groups=b["groups"]) for b in snap["branches"]]
+    return EncoderConfig(w=snap["w"], model_dim=snap["model_dim"], S=snap["S"],
+                         depth=snap["depth"], heads=snap["heads"],
+                         mlp_dim=snap["mlp_dim"], n_electrodes=snap["n_electrodes"],
+                         max_slots=snap["max_slots"], qk_norm=snap["qk_norm"],
+                         layer_scale_init=snap["layer_scale_init"], branches=branches)
+
+
 class Linear:
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
                  name: str, bias: bool = True, scale: float | None = None):
@@ -182,16 +206,6 @@ class TemporalBranch:
         yield from self.stage2.params()
 
 
-def branch_forward(patch, branch: TemporalBranch) -> Tensor:
-    """Run one branch over a (w,) patch or (B, w) batch."""
-    t = ad._as_tensor(patch)
-    single = t.ndim == 1
-    if single:
-        t = ad.reshape(t, (1, t.shape[0]))
-    out = branch(t)
-    return ad.reshape(out, (out.shape[1],)) if single else out
-
-
 class EmbeddingTables:
     """Learnable channel (spatial) and time-slot (temporal) embedding rows."""
 
@@ -205,15 +219,6 @@ class EmbeddingTables:
     def params(self):
         yield self.spatial
         yield self.temporal
-
-
-def add_embeddings(features: list[Tensor], channel_idx: np.ndarray,
-                   slot_idx: np.ndarray, tables: EmbeddingTables) -> list[Tensor]:
-    """Add SE[channel] + TE[slot] to every branch's (..., P, w) features."""
-    se = ad.embedding_lookup(tables.spatial.tensor, np.asarray(channel_idx))
-    te = ad.embedding_lookup(tables.temporal.tensor, np.asarray(slot_idx))
-    shift = ad.add(se, te)
-    return [ad.add(f, shift) for f in features]
 
 
 class TransformerBlock:
@@ -277,11 +282,6 @@ class TransformerStack:
             yield from blk.params()
 
 
-def transformer_forward(tokens: list[Tensor], stack: TransformerStack) -> list[Tensor]:
-    """Apply the shared-weight stack to each branch's token sequence."""
-    return [stack(t) for t in tokens]
-
-
 class MultiScaleEncoder:
     """Branches -> embeddings -> shared transformer."""
 
@@ -295,26 +295,38 @@ class MultiScaleEncoder:
                            else Linear(cfg.w, cfg.model_dim, rng, f"{name}.in_proj"))
         self.transformer = TransformerStack(cfg, cfg.depth, rng, f"{name}.tf")
 
-    def branch_features(self, patches: Tensor) -> list[Tensor]:
-        """Per-branch (B, P, w) features from a (B, P, w) patch block."""
+    def branch_features(self, patches: Tensor) -> Tensor:
+        """Branch features stacked on a leading axis: (S, B, P, w) from a
+        (B, P, w) patch block."""
         B, P, w = patches.shape
+        if w != self.cfg.w:
+            raise ConfigError(f"patch length {w} != encoder w {self.cfg.w}")
         flat = ad.reshape(patches, (B * P, w))
-        return [ad.reshape(br(flat), (B, P, w)) for br in self.branches]
+        return ad.concat([ad.reshape(br(flat), (1, B, P, w)) for br in self.branches],
+                         axis=0)
 
     def forward(self, patches, channel_idx: np.ndarray, slot_idx: np.ndarray,
-                features: list[Tensor] | None = None) -> list[Tensor]:
+                features: Tensor | None = None) -> list[Tensor]:
         """Per-branch (B, P, D) representations.
 
-        ``features`` overrides the branch outputs (the masked-pretraining
-        path substitutes mask tokens before the embeddings are added).
+        The S branches share the embedding tables, the input projection and
+        the transformer, so they run through them as one (S * B)-row batch.
+        ``features`` overrides the stacked branch outputs (the
+        masked-pretraining path substitutes mask tokens before the
+        embeddings are added).
         """
-        t = ad._as_tensor(patches)
         if features is None:
-            features = self.branch_features(t)
-        feats = add_embeddings(features, channel_idx, slot_idx, self.tables)
+            features = self.branch_features(ad._as_tensor(patches))
+        S, B, P, _ = features.shape
+        se = ad.embedding_lookup(self.tables.spatial.tensor, np.asarray(channel_idx))
+        te = ad.embedding_lookup(self.tables.temporal.tensor, np.asarray(slot_idx))
+        x = ad.add(features, ad.add(se, te))
         if self.input_proj is not None:
-            feats = [self.input_proj(f) for f in feats]
-        return transformer_forward(feats, self.transformer)
+            x = self.input_proj(x)
+        D = x.shape[-1]
+        x = self.transformer(ad.reshape(x, (S * B, P, D)))
+        x = ad.reshape(x, (S, B, P, D))
+        return [ad.index(x, s) for s in range(S)]
 
     def params(self):
         for br in self.branches:
@@ -323,13 +335,3 @@ class MultiScaleEncoder:
         if self.input_proj is not None:
             yield from self.input_proj.params()
         yield from self.transformer.params()
-
-
-def multiscale_forward(grid: PatchGrid, encoder: MultiScaleEncoder) -> np.ndarray:
-    """Encode a PatchGrid as one window; returns an (S, P, D) array."""
-    if grid.patch_length != encoder.cfg.w:
-        raise ConfigError(
-            f"grid patch length {grid.patch_length} != encoder w {encoder.cfg.w}")
-    reps = encoder.forward(grid.patches[None, :, :], grid.channel_idx[None, :],
-                           grid.slot_idx[None, :])
-    return np.stack([r.data[0] for r in reps])

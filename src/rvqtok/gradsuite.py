@@ -82,6 +82,12 @@ def _case_concat(rng):
             rng.normal(size=(2, 3)))
 
 
+def _case_index(rng):
+    c = _fixed(rng, (2, 4))
+    return (lambda t: ad.tsum(ad.square(ad.mul(ad.index(t, 1), c))),
+            rng.normal(size=(3, 2, 4)))
+
+
 def _case_reshape(rng):
     return lambda t: ad.tsum(ad.square(ad.reshape(t, (6,)))), rng.normal(size=(2, 3))
 
@@ -140,6 +146,7 @@ PRIMITIVE_CASES = {
     "softmax": _case_softmax,
     "embedding_lookup": _case_embedding,
     "concat": _case_concat,
+    "index": _case_index,
     "reshape": _case_reshape,
     "sum": _case_sum,
     "mean": _case_mean,

@@ -16,13 +16,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .checkpoint import load_arrays, require_field, save_arrays
-from .encoder import EncoderConfig, Linear, MultiScaleEncoder
+from .checkpoint import load_arrays, require_field, restore_params, save_arrays
+from .encoder import (EncoderConfig, Linear, MultiScaleEncoder, encoder_from_snapshot,
+                      encoder_snapshot)
 from .errors import CompatibilityError, ConfigError, NumericError
 from .optim import Parameter, adamw_step, cosine_warmup_lr
 from .signals import Recording
-from .tokenizer import (TokenizerModel, WindowSet, build_windows,
-                        config_from_snapshot, _config_snapshot)
+from .tokenizer import (INFERENCE_BATCH, TokenizerModel, WindowSet, build_windows,
+                        _config_snapshot)
 
 
 @dataclass
@@ -117,13 +118,12 @@ class BackboneModel:
         features are replaced by the mask token before embeddings are added."""
         x = patches.astype(np.float32) if self.cfg.dtype == "float32" else patches
         t = ad._as_tensor(x)
-        features = self.encoder.branch_features(t)
+        features = self.encoder.branch_features(t)  # (S, B, P, w)
         if mask is not None:
-            keep = Tensor((~mask)[..., None].astype(features[0].dtype))
-            hide = Tensor(mask[..., None].astype(features[0].dtype))
+            keep = Tensor((~mask)[..., None].astype(features.dtype))
+            hide = Tensor(mask[..., None].astype(features.dtype))
             token = ad.reshape(self.mask_token.tensor, (1, 1, self.cfg.encoder.w))
-            features = [ad.add(ad.mul(f, keep), ad.mul(token, hide))
-                        for f in features]
+            features = ad.add(ad.mul(features, keep), ad.mul(token, hide))
         return self.encoder.forward(t, channel_idx, slot_idx, features=features)
 
     def logits(self, reps: list[Tensor]) -> list[list[Tensor]]:
@@ -134,15 +134,9 @@ class BackboneModel:
 
 def teacher_tokens(windows: WindowSet, tokenizer: TokenizerModel) -> np.ndarray:
     """Frozen-tokenizer code indices with extents (W, P, S, N)."""
-    out = []
-    bs = 32
-    for lo in range(0, windows.n_windows, bs):
-        sel = np.zeros(windows.n_windows, dtype=bool)
-        sel[lo:lo + bs] = True
-        chunk = windows.subset(sel)
-        out.append(tokenizer.token_indices(chunk.patches, chunk.channel_idx,
-                                           chunk.slot_idx))
-    return np.concatenate(out)
+    return np.concatenate([
+        tokenizer.token_indices(chunk.patches, chunk.channel_idx, chunk.slot_idx)
+        for _, chunk in windows.batches(INFERENCE_BATCH)])
 
 
 def align_teacher(target: WindowSet, teacher_windows: WindowSet,
@@ -242,19 +236,16 @@ def pretrain_step(batch: WindowSet, masks: np.ndarray, backbone: BackboneModel,
 
 def masked_metrics(backbone: BackboneModel, windows: WindowSet,
                    teacher: np.ndarray, rho: float, seed: int,
-                   batch_size: int = 32) -> tuple[float, float]:
+                   batch_size: int = INFERENCE_BATCH) -> tuple[float, float]:
     """(cross entropy, accuracy) at masked positions with seeded masks."""
     rng = np.random.default_rng(seed)
     losses, correct, masked = [], 0, 0
     heads = None
-    for lo in range(0, windows.n_windows, batch_size):
-        sel = np.zeros(windows.n_windows, dtype=bool)
-        sel[lo:lo + batch_size] = True
-        chunk = windows.subset(sel)
+    for idx, chunk in windows.batches(batch_size):
         plans = [make_symmetric_masks(chunk.patches.shape[1], rho, rng)
                  for _ in range(chunk.n_windows)]
         masks = np.stack([p.mask for p in plans])
-        loss, c, m, heads = _view_loss(backbone, chunk, masks, teacher[sel])
+        loss, c, m, heads = _view_loss(backbone, chunk, masks, teacher[idx])
         losses.append(loss.item() * m)
         correct += c
         masked += m
@@ -295,17 +286,14 @@ def pretrain(dataset: list[Recording], cfg: PretrainConfig,
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(train_set.n_windows)
         ep_loss, ep_acc, n_batches = 0.0, 0.0, 0
-        for lo in range(0, len(order), cfg.batch_size):
-            sel = np.zeros(train_set.n_windows, dtype=bool)
-            sel[order[lo:lo + cfg.batch_size]] = True
-            batch = train_set.subset(sel)
+        for idx, batch in train_set.batches(cfg.batch_size, order):
             plans = [make_symmetric_masks(batch.patches.shape[1], cfg.mask_ratio, rng)
                      for _ in range(batch.n_windows)]
             masks = np.stack([p.mask for p in plans])
             lr = cosine_warmup_lr(step, total_steps, warmup_steps,
                                   cfg.base_lr, cfg.min_lr)
             loss, acc = pretrain_step(batch, masks, backbone,
-                                      teacher_train[sel], lr)
+                                      teacher_train[idx], lr)
             ep_loss += loss
             ep_acc += acc
             n_batches += 1
@@ -322,7 +310,7 @@ def pretrain(dataset: list[Recording], cfg: PretrainConfig,
 
 
 def extract_features(backbone: BackboneModel, windows: WindowSet,
-                     batch_size: int = 32) -> np.ndarray:
+                     batch_size: int = INFERENCE_BATCH) -> np.ndarray:
     """Unmasked per-patch embeddings: the S branch representations
     concatenated in branch order, extents (n_patches, S * D).
 
@@ -331,10 +319,7 @@ def extract_features(backbone: BackboneModel, windows: WindowSet,
     what preserves the per-band information.
     """
     rows = []
-    for lo in range(0, windows.n_windows, batch_size):
-        sel = np.zeros(windows.n_windows, dtype=bool)
-        sel[lo:lo + batch_size] = True
-        chunk = windows.subset(sel)
+    for _, chunk in windows.batches(batch_size):
         reps = backbone.forward(chunk.patches, chunk.channel_idx, chunk.slot_idx)
         joined = np.concatenate([r.data for r in reps], axis=-1)  # (B, P, S*D)
         rows.append(joined.reshape(-1, joined.shape[-1]))
@@ -422,22 +407,9 @@ def fit_linear_probe(X: np.ndarray, labels: np.ndarray,
 
 
 def _backbone_snapshot(cfg: PretrainConfig) -> dict:
-    enc_snap = _config_snapshot_from_encoder(cfg.encoder)
-    enc_snap.update({"levels": cfg.levels, "codebook_size": cfg.codebook_size,
-                     "mask_ratio": cfg.mask_ratio, "dtype": cfg.dtype})
-    return enc_snap
-
-
-def _config_snapshot_from_encoder(enc: EncoderConfig) -> dict:
-    return {
-        "w": enc.w, "model_dim": enc.model_dim, "S": enc.S, "depth": enc.depth,
-        "heads": enc.heads, "mlp_dim": enc.mlp_dim,
-        "n_electrodes": enc.n_electrodes, "max_slots": enc.max_slots,
-        "qk_norm": enc.qk_norm, "layer_scale_init": enc.layer_scale_init,
-        "branches": [{"filters": list(b.filters), "kernels": list(b.kernels),
-                      "paddings": list(b.paddings), "pools": list(b.pools),
-                      "groups": b.groups} for b in enc.branches],
-    }
+    return {**encoder_snapshot(cfg.encoder), "levels": cfg.levels,
+            "codebook_size": cfg.codebook_size, "mask_ratio": cfg.mask_ratio,
+            "slots_per_window": cfg.slots_per_window, "dtype": cfg.dtype}
 
 
 def save_backbone(backbone: BackboneModel, path) -> None:
@@ -446,27 +418,15 @@ def save_backbone(backbone: BackboneModel, path) -> None:
 
 
 def load_backbone(path) -> BackboneModel:
-    from .encoder import BranchConfig
-
     kind, snap, arrays = load_arrays(path)
     if kind != "backbone":
         raise CompatibilityError(f"checkpoint kind {kind!r}, expected 'backbone'")
-    branches = [BranchConfig(filters=tuple(b["filters"]), kernels=tuple(b["kernels"]),
-                             paddings=tuple(b["paddings"]), pools=tuple(b["pools"]),
-                             groups=b["groups"]) for b in snap["branches"]]
-    enc = EncoderConfig(w=snap["w"], model_dim=snap["model_dim"], S=snap["S"],
-                        depth=snap["depth"], heads=snap["heads"],
-                        mlp_dim=snap["mlp_dim"], n_electrodes=snap["n_electrodes"],
-                        max_slots=snap["max_slots"], qk_norm=snap["qk_norm"],
-                        layer_scale_init=snap["layer_scale_init"], branches=branches)
-    cfg = PretrainConfig(encoder=enc, levels=snap["levels"],
+    if "slots_per_window" not in snap:
+        raise CompatibilityError("checkpoint missing config field 'slots_per_window'")
+    cfg = PretrainConfig(encoder=encoder_from_snapshot(snap), levels=snap["levels"],
                          codebook_size=snap["codebook_size"],
-                         mask_ratio=snap["mask_ratio"], dtype=snap["dtype"])
+                         mask_ratio=snap["mask_ratio"],
+                         slots_per_window=snap["slots_per_window"], dtype=snap["dtype"])
     backbone = BackboneModel(cfg, seed=0)
-    dtype = np.float32 if cfg.dtype == "float32" else np.float64
-    for p in backbone.params():
-        key = f"param.{p.name}"
-        if key not in arrays:
-            raise CompatibilityError(f"checkpoint missing parameter {p.name!r}")
-        p.tensor.data = arrays[key].astype(dtype)
+    restore_params(backbone.params(), arrays, cfg.dtype)
     return backbone

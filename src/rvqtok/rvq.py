@@ -73,31 +73,25 @@ class Codebook:
         return self.entries.shape[1]
 
 
-def quantize_level(p: np.ndarray, book: Codebook,
-                   metric: str = "normalized") -> tuple[np.ndarray, np.ndarray]:
+def quantize_level(p: np.ndarray, book: Codebook) -> tuple[np.ndarray, np.ndarray]:
     """Nearest codeword per row of p; returns (indices, raw codewords).
 
-    The normalized metric compares unit-scaled query and codewords; queries
-    that normalize to zero fall back to raw Euclidean distance.  Ties break
-    toward the lowest index.  Accepts a single vector or a (B, d) batch.
+    Query and codewords are compared unit-scaled; queries that normalize to
+    zero fall back to raw Euclidean distance.  Ties break toward the lowest
+    index.  Accepts a single vector or a (B, d) batch.
     """
     p = np.asarray(p, dtype=np.float64)
     single = p.ndim == 1
     q = p[None, :] if single else p
     if q.shape[-1] != book.dim:
         raise ShapeError(f"query dim {q.shape[-1]} != codebook dim {book.dim}")
-    if metric == "normalized":
-        qn = normalize_rows(q)
-        vn = normalize_rows(book.entries)
-        d = ((qn[:, None, :] - vn[None, :, :]) ** 2).sum(axis=-1)
-        zero_rows = np.linalg.norm(q, axis=-1) == 0.0
-        if zero_rows.any():
-            raw = ((q[zero_rows][:, None, :] - book.entries[None, :, :]) ** 2).sum(axis=-1)
-            d[zero_rows] = raw
-    elif metric == "euclidean":
-        d = ((q[:, None, :] - book.entries[None, :, :]) ** 2).sum(axis=-1)
-    else:
-        raise ConfigError(f"unknown quantization metric {metric!r}")
+    qn = normalize_rows(q)
+    vn = normalize_rows(book.entries)
+    d = ((qn[:, None, :] - vn[None, :, :]) ** 2).sum(axis=-1)
+    zero_rows = np.linalg.norm(q, axis=-1) == 0.0
+    if zero_rows.any():
+        raw = ((q[zero_rows][:, None, :] - book.entries[None, :, :]) ** 2).sum(axis=-1)
+        d[zero_rows] = raw
     idx = np.argmin(d, axis=1)
     z = book.entries[idx]
     if single:
@@ -126,7 +120,6 @@ class RVQStack:
     codebooks: list[Codebook]
     down_proj: Parameter
     up_proj: Parameter
-    metric: str = "normalized"
 
     def __post_init__(self):
         if not self.codebooks:
@@ -146,8 +139,7 @@ class RVQStack:
 
     @classmethod
     def create(cls, model_dim: int, code_dim: int, levels: int, entries: int,
-               rng: np.random.Generator, name: str = "rvq",
-               metric: str = "normalized") -> "RVQStack":
+               rng: np.random.Generator, name: str = "rvq") -> "RVQStack":
         books = [Codebook(rng.normal(scale=1.0 / np.sqrt(code_dim),
                                      size=(entries, code_dim)))
                  for _ in range(levels)]
@@ -156,7 +148,7 @@ class RVQStack:
                          f"{name}.down_proj")
         up = Parameter(rng.uniform(-limit, limit, size=(code_dim, model_dim)),
                        f"{name}.up_proj")
-        return cls(books, down, up, metric)
+        return cls(books, down, up)
 
     def quantize_codes(self, p_code: np.ndarray,
                        forced_indices: np.ndarray | None = None) -> TokenAssignment:
@@ -180,33 +172,11 @@ class RVQStack:
                 idx = np.asarray(forced_indices[:, i], dtype=np.int64)
                 z = book.entries[idx]
             else:
-                idx, z = quantize_level(resid, book, self.metric)
+                idx, z = quantize_level(resid, book)
             indices[:, i] = idx
             codewords[i] = z
             resid = resid - z
         return TokenAssignment(indices, codewords, level_inputs, resid)
-
-
-def rvq_quantize(p: np.ndarray, stack: RVQStack,
-                 forced_indices: np.ndarray | None = None
-                 ) -> tuple[TokenAssignment, np.ndarray]:
-    """Project down, cascade the codebooks, project the code sum back up.
-
-    Accepts a (D,) vector or a (B, D) batch; returns the assignment and the
-    up-projected reconstruction with matching leading shape.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    single = p.ndim == 1
-    x = p[None, :] if single else p
-    if x.shape[-1] != stack.down_proj.data.shape[0]:
-        raise ShapeError(f"input dim {x.shape[-1]} != stack input dim "
-                         f"{stack.down_proj.data.shape[0]}")
-    p_code = x @ stack.down_proj.data
-    assign = stack.quantize_codes(p_code, forced_indices)
-    p_hat = assign.reconstruction @ stack.up_proj.data
-    if single:
-        return assign, p_hat[0]
-    return assign, p_hat
 
 
 def quantization_loss(p_levels, z_levels, beta: float = 0.25) -> Tensor:
@@ -365,5 +335,5 @@ def kmeans_init_stack(stack: RVQStack, p_code: np.ndarray, iters: int = 10,
     resid = np.asarray(p_code, dtype=np.float64).copy()
     for book in stack.codebooks:
         kmeans_init(book, resid, iters=iters, rng=rng)
-        _, z = quantize_level(resid, book, stack.metric)
+        _, z = quantize_level(resid, book)
         resid = resid - z

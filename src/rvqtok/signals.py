@@ -111,7 +111,7 @@ class SynthSpec:
 
     Components are drawn once per recording and projected to every channel
     with a random signed gain (volume-conduction style), so channels share
-    sources; ``shared_components=False`` draws channels independently.
+    sources.
     """
 
     sample_rate: float = 128.0
@@ -126,7 +126,6 @@ class SynthSpec:
     # frequencies are drawn this fraction inside each band edge, keeping
     # component power clear of the Butterworth -3dB roll-off at the edges
     band_margin: float = 0.25
-    shared_components: bool = True
     channel_gain_range: tuple[float, float] = (0.5, 1.0)
 
     def __post_init__(self):
@@ -324,41 +323,24 @@ def synth_generate(spec: SynthSpec) -> Recording:
     n = int(round(spec.duration * spec.sample_rate))
     t = np.arange(n) / spec.sample_rate
     data = np.zeros((spec.n_channels, n))
-    if spec.shared_components:
-        g_lo, g_hi = spec.channel_gain_range
-        for band in STANDARD_BANDS:
-            count = spec.components_per_band.get(band.name, 0)
-            if count == 0:
-                continue
-            lo_amp, hi_amp = spec.amplitude_ranges.get(band.name, (0.0, 0.0))
-            low, high = band.edges(spec.sample_rate)
-            margin = spec.band_margin * (high - low)
-            for _ in range(count):
-                freq = rng.uniform(low + margin, high - margin)
-                phase = rng.uniform(-math.pi, math.pi)
-                amp = rng.uniform(lo_amp, hi_amp)
-                wave = amp * np.cos(2.0 * math.pi * freq * t + phase)
-                gains = rng.uniform(g_lo, g_hi, size=spec.n_channels)
-                gains *= rng.choice([-1.0, 1.0], size=spec.n_channels)
-                data += gains[:, None] * wave
-        for ch in range(spec.n_channels):
-            if spec.noise_level > 0:
-                data[ch] += spec.noise_level * _pink_noise(rng, n)
-    else:
-        for ch in range(spec.n_channels):
-            for band in STANDARD_BANDS:
-                count = spec.components_per_band.get(band.name, 0)
-                if count == 0:
-                    continue
-                lo_amp, hi_amp = spec.amplitude_ranges.get(band.name, (0.0, 0.0))
-                low, high = band.edges(spec.sample_rate)
-                margin = spec.band_margin * (high - low)
-                for _ in range(count):
-                    freq = rng.uniform(low + margin, high - margin)
-                    phase = rng.uniform(-math.pi, math.pi)
-                    amp = rng.uniform(lo_amp, hi_amp)
-                    data[ch] += amp * np.cos(2.0 * math.pi * freq * t + phase)
-            if spec.noise_level > 0:
-                data[ch] += spec.noise_level * _pink_noise(rng, n)
+    g_lo, g_hi = spec.channel_gain_range
+    for band in STANDARD_BANDS:
+        count = spec.components_per_band.get(band.name, 0)
+        if count == 0:
+            continue
+        lo_amp, hi_amp = spec.amplitude_ranges.get(band.name, (0.0, 0.0))
+        low, high = band.edges(spec.sample_rate)
+        margin = spec.band_margin * (high - low)
+        for _ in range(count):
+            freq = rng.uniform(low + margin, high - margin)
+            phase = rng.uniform(-math.pi, math.pi)
+            amp = rng.uniform(lo_amp, hi_amp)
+            wave = amp * np.cos(2.0 * math.pi * freq * t + phase)
+            gains = rng.uniform(g_lo, g_hi, size=spec.n_channels)
+            gains *= rng.choice([-1.0, 1.0], size=spec.n_channels)
+            data += gains[:, None] * wave
+    for ch in range(spec.n_channels):
+        if spec.noise_level > 0:
+            data[ch] += spec.noise_level * _pink_noise(rng, n)
     names = [f"SYN{c}" for c in range(spec.n_channels)]
     return Recording(spec.sample_rate, names, data)

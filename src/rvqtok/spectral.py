@@ -41,12 +41,9 @@ class PhasePrediction:
 
 @dataclass
 class LossWeights:
-    """Weights and ablation toggles for the composite tokenizer objective."""
+    """Weights for the composite tokenizer objective."""
 
     lambda_circle: float = 0.4
-    use_log_amp: bool = True
-    use_unit: bool = True
-    use_temporal: bool = True
 
     def __post_init__(self):
         if self.lambda_circle < 0:
@@ -172,29 +169,11 @@ def tokenizer_loss(pred: PhasePrediction, target: SpectralTarget, x: np.ndarray,
     if x.shape[-1] != w:
         raise ShapeError(f"patch length {x.shape[-1]} != target length {w}")
 
-    terms: list[Tensor] = []
-    breakdown: dict[str, float] = {}
-
     log_amp_term = ad.tmean(ad.square(ad.sub(la_hat, Tensor(target.log_amp))))
-    breakdown["log_amp"] = log_amp_term.item()
-    if weights.use_log_amp:
-        terms.append(log_amp_term)
-
     unit_term = unit_circle_loss(pred, target, weights.lambda_circle)
-    breakdown["unit"] = unit_term.item()
-    if weights.use_unit:
-        terms.append(unit_term)
-
     recon = _inverse_spectrum_graph(la_hat, sin_hat, cos_hat, w)
     temporal_term = ad.tmean(ad.square(ad.sub(recon, Tensor(x))))
-    breakdown["temporal"] = temporal_term.item()
-    if weights.use_temporal:
-        terms.append(temporal_term)
-
-    if not terms:
-        raise ConfigError("all loss terms disabled")
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    breakdown["total"] = total.item()
+    total = ad.add(ad.add(log_amp_term, unit_term), temporal_term)
+    breakdown = {"log_amp": log_amp_term.item(), "unit": unit_term.item(),
+                 "temporal": temporal_term.item(), "total": total.item()}
     return total, breakdown

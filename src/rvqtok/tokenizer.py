@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .checkpoint import load_arrays, require_field, save_arrays
-from .encoder import EncoderConfig, Linear, MultiScaleEncoder, TransformerStack
+from .checkpoint import load_arrays, require_field, restore_params, save_arrays
+from .encoder import (EncoderConfig, Linear, MultiScaleEncoder, TransformerStack,
+                      encoder_from_snapshot, encoder_snapshot)
 from .errors import CompatibilityError, ConfigError, NumericError
 from .optim import Parameter, adamw_step, clip_global_norm, cosine_warmup_lr
 from .rvq import (RVQStack, TokenAssignment, begin_epoch, end_epoch_reinit,
@@ -173,17 +175,12 @@ class TokenizerModel:
         return out
 
 
-def decode(quantized, model: TokenizerModel) -> PhasePrediction:
-    """Decode (S, P, D) quantized representations to per-patch predictions."""
-    if isinstance(quantized, np.ndarray):
-        tensors = [Tensor(quantized[s][None, :, :]) for s in range(quantized.shape[0])]
-    else:
-        tensors = list(quantized)
-    return model.decode(tensors)
-
-
 # ---------------------------------------------------------------------------
 # windowing
+
+#: Windows per batch where no gradient is taken (tokenizing, reconstruction,
+#: evaluation, feature extraction).
+INFERENCE_BATCH = 32
 
 
 @dataclass
@@ -205,6 +202,21 @@ class WindowSet:
         return WindowSet(self.patches[mask], self.channel_idx[mask],
                          self.slot_idx[mask], self.rec_idx[mask],
                          self.abs_slot[mask], self.val_mask[mask])
+
+    def batches(self, batch_size: int, order: np.ndarray | None = None
+                ) -> Iterator[tuple[np.ndarray, "WindowSet"]]:
+        """Yield (window indices, subset) per batch of ``batch_size`` windows.
+
+        Batches run over the windows in index order, or take consecutive
+        slices of the permutation ``order``; the windows of one batch stay
+        in ascending index order either way.  Every window lands in exactly
+        one batch, and the last batch may be short.
+        """
+        if order is None:
+            order = np.arange(self.n_windows)
+        for lo in range(0, self.n_windows, batch_size):
+            idx = np.sort(order[lo:lo + batch_size])
+            yield idx, self.subset(idx)
 
     @property
     def train(self) -> "WindowSet":
@@ -279,7 +291,6 @@ class TrainState:
     seed: int = 0
     epoch: int = 0
     step: int = 0
-    running: dict = field(default_factory=dict)
 
     def lr(self) -> float:
         return cosine_warmup_lr(self.step, self.total_steps, self.warmup_steps,
@@ -328,17 +339,14 @@ def train_step(batch: WindowSet, model: TokenizerModel, state: TrainState
 
 
 def evaluate(model: TokenizerModel, windows: WindowSet,
-             batch_size: int = 32) -> dict[str, float]:
+             batch_size: int = INFERENCE_BATCH) -> dict[str, float]:
     """Loss terms plus raw reconstruction MSE over a window set (no grads)."""
     if windows.n_windows == 0:
         raise ConfigError("cannot evaluate on an empty window set")
     sums: dict[str, float] = {}
     total_raw = 0.0
     n = 0
-    for lo in range(0, windows.n_windows, batch_size):
-        sel = np.zeros(windows.n_windows, dtype=bool)
-        sel[lo:lo + batch_size] = True
-        chunk = windows.subset(sel)
+    for _, chunk in windows.batches(batch_size):
         pred, _, lq = model.forward(chunk.patches, chunk.channel_idx, chunk.slot_idx)
         target = forward_spectrum(chunk.patches)
         _, parts = tokenizer_loss(pred, target, chunk.patches,
@@ -404,11 +412,7 @@ def train_tokenizer(dataset: list[Recording], cfg: TokenizerConfig,
         order = rng.permutation(train_set.n_windows)
         train_sums: dict[str, float] = {}
         n_batches = 0
-        recent_codes: list[np.ndarray] = []
-        for lo in range(0, len(order), batch_size):
-            sel = np.zeros(train_set.n_windows, dtype=bool)
-            sel[order[lo:lo + batch_size]] = True
-            batch = train_set.subset(sel)
+        for _, batch in train_set.batches(batch_size, order):
             parts = train_step(batch, model, state)
             n_batches += 1
             for key, v in parts.items():
@@ -426,7 +430,6 @@ def train_tokenizer(dataset: list[Recording], cfg: TokenizerConfig,
         for stack in model.stacks:
             for book in stack.codebooks:
                 end_epoch_reinit(book, rng=rng)
-        state.running = {k: v / n_batches for k, v in train_sums.items()}
     return model, curves
 
 
@@ -453,15 +456,9 @@ def eval_per_band(model: TokenizerModel, recordings: list[Recording],
     if rate is None:
         raise ConfigError("eval_per_band needs at least one recording")
     x = windows.patches.reshape(-1, w)
-    rows = []
-    bs = 32
-    for lo in range(0, windows.n_windows, bs):
-        sel = np.zeros(windows.n_windows, dtype=bool)
-        sel[lo:lo + bs] = True
-        chunk = windows.subset(sel)
-        r = model.reconstruct(chunk.patches, chunk.channel_idx, chunk.slot_idx)
-        rows.append(r.reshape(-1, w))
-    recon = np.concatenate(rows)
+    recon = np.concatenate([
+        model.reconstruct(c.patches, c.channel_idx, c.slot_idx).reshape(-1, w)
+        for _, c in windows.batches(INFERENCE_BATCH)])
     mid = slice(w // 4, 3 * w // 4)
     report = {"raw": float(np.mean((recon - x) ** 2))}
     for band in bands:
@@ -476,15 +473,8 @@ def eval_per_band(model: TokenizerModel, recordings: list[Recording],
 
 
 def _config_snapshot(cfg: TokenizerConfig) -> dict:
-    enc = cfg.encoder
     return {
-        "w": enc.w, "model_dim": enc.model_dim, "S": enc.S, "depth": enc.depth,
-        "heads": enc.heads, "mlp_dim": enc.mlp_dim,
-        "n_electrodes": enc.n_electrodes, "max_slots": enc.max_slots,
-        "qk_norm": enc.qk_norm, "layer_scale_init": enc.layer_scale_init,
-        "branches": [{"filters": list(b.filters), "kernels": list(b.kernels),
-                      "paddings": list(b.paddings), "pools": list(b.pools),
-                      "groups": b.groups} for b in enc.branches],
+        **encoder_snapshot(cfg.encoder),
         "levels": cfg.levels, "codebook_size": cfg.codebook_size,
         "code_dim": cfg.code_dim, "decoder_depth": cfg.decoder_depth,
         "commitment_beta": cfg.commitment_beta, "ema_decay": cfg.ema_decay,
@@ -494,17 +484,7 @@ def _config_snapshot(cfg: TokenizerConfig) -> dict:
 
 
 def config_from_snapshot(snap: dict) -> TokenizerConfig:
-    from .encoder import BranchConfig
-
-    branches = [BranchConfig(filters=tuple(b["filters"]), kernels=tuple(b["kernels"]),
-                             paddings=tuple(b["paddings"]), pools=tuple(b["pools"]),
-                             groups=b["groups"]) for b in snap["branches"]]
-    enc = EncoderConfig(w=snap["w"], model_dim=snap["model_dim"], S=snap["S"],
-                        depth=snap["depth"], heads=snap["heads"],
-                        mlp_dim=snap["mlp_dim"], n_electrodes=snap["n_electrodes"],
-                        max_slots=snap["max_slots"], qk_norm=snap["qk_norm"],
-                        layer_scale_init=snap["layer_scale_init"], branches=branches)
-    return TokenizerConfig(encoder=enc, levels=snap["levels"],
+    return TokenizerConfig(encoder=encoder_from_snapshot(snap), levels=snap["levels"],
                            codebook_size=snap["codebook_size"],
                            code_dim=snap["code_dim"],
                            decoder_depth=snap["decoder_depth"],
@@ -537,16 +517,7 @@ def load_tokenizer(path, expected: TokenizerConfig | None = None) -> TokenizerMo
             require_field(snap, fieldname, want[fieldname])
     cfg = config_from_snapshot(snap)
     model = TokenizerModel(cfg, seed=0)
-    dtype = np.float32 if cfg.dtype == "float32" else np.float64
-    for p in model.params():
-        key = f"param.{p.name}"
-        if key not in arrays:
-            raise CompatibilityError(f"checkpoint missing parameter {p.name!r}")
-        if tuple(arrays[key].shape) != p.data.shape:
-            raise CompatibilityError(
-                f"checkpoint field {p.name!r} has shape {arrays[key].shape}, "
-                f"runtime expects {p.data.shape}")
-        p.tensor.data = arrays[key].astype(dtype)
+    restore_params(model.params(), arrays, cfg.dtype)
     for s, stack in enumerate(model.stacks):
         for i, book in enumerate(stack.codebooks):
             book.entries = arrays[f"codebook.{s}.{i}.entries"].astype(np.float64)

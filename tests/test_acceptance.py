@@ -19,7 +19,7 @@ from rvqtok.gradsuite import run_suite
 from rvqtok.pretrain import (BackboneModel, make_symmetric_masks, pretrain,
                              probe_corpus, run_linear_probe, teacher_tokens,
                              _view_loss)
-from rvqtok.rvq import Codebook, RVQStack, normalize_rows, quantize_level, rvq_quantize
+from rvqtok.rvq import Codebook, RVQStack, normalize_rows, quantize_level
 from rvqtok.spectral import chord_loss, forward_spectrum, inverse_spectrum
 from rvqtok.tokenizer import (build_windows, eval_per_band, load_tokenizer,
                               save_tokenizer, train_tokenizer, TokenizerModel)
@@ -164,8 +164,8 @@ def test_criterion_4_rvq_invariants():
                                 entries=int(rng.integers(2, 32)),
                                 rng=np.random.default_rng(400 + trial))
         p = rng.normal(size=(8, 6))
-        assign, _ = rvq_quantize(p, stack)
         projected = p @ stack.down_proj.data
+        assign = stack.quantize_codes(projected)
         gap = np.abs(assign.codewords.sum(axis=0) + assign.residual - projected)
         worst_tel = max(worst_tel, float(gap.max()))
 

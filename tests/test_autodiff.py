@@ -66,6 +66,7 @@ def test_backward_accumulates_across_uses():
     with Tape() as tape:
         y = ad.add(x, x)
         loss = ad.tsum(y)
+    np.testing.assert_array_equal(y.data, np.full(4, 2.0))
     backward(tape, loss)
     np.testing.assert_array_equal(x.grad, np.full(4, 2.0))
 
@@ -183,6 +184,11 @@ def _case_concat(rng, shape):
     return lambda t: ad.tsum(ad.square(ad.concat([t, ad.mul(t, t)], axis=-1)))
 
 
+def _case_index(rng, shape):
+    c = Tensor(rng.normal(size=shape[1:]))
+    return lambda t: ad.tsum(ad.square(ad.mul(ad.index(t, 1), c)))
+
+
 def _case_reshape(rng, shape):
     return lambda t: ad.tsum(ad.square(ad.reshape(t, (-1,))))
 
@@ -231,6 +237,7 @@ PRIMITIVE_CASES = {
     "softmax": _case_softmax,
     "embedding": _case_embedding,
     "concat": _case_concat,
+    "index": _case_index,
     "reshape": _case_reshape,
     "sum": _case_sum,
     "mean": _case_mean,
@@ -345,12 +352,16 @@ def test_attention_gradients():
     assert grad_check(f, Tensor(rng.normal(size=(1, 3, 4)))) < 1e-5
 
 
-def test_primitive_forward_dispatch():
-    x = Tensor(np.ones((2, 2)))
-    out = ad.primitive_forward("add", [x, x])
-    np.testing.assert_array_equal(out.data, np.full((2, 2), 2.0))
-    with pytest.raises(KeyError):
-        ad.primitive_forward("does_not_exist", [x])
+def test_index_forward_and_scatter_backward():
+    x = Tensor(np.arange(24.0).reshape(3, 2, 4), requires_grad=True)
+    with Tape() as tape:
+        row = ad.index(x, 2)
+        loss = ad.tsum(ad.mul(row, Tensor(np.full((2, 4), 3.0))))
+    np.testing.assert_array_equal(row.data, x.data[2])
+    backward(tape, loss)
+    expect = np.zeros((3, 2, 4))
+    expect[2] = 3.0
+    np.testing.assert_array_equal(x.grad, expect)
 
 
 def test_adamw_zero_grad_no_decay_keeps_parameter():

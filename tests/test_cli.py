@@ -100,6 +100,16 @@ class TestCommands:
         assert cmd(["synth-gen", "--out-dir", str(tmp_path),
                     "--set", "model.w=63"]) == 1
 
+    @pytest.mark.parametrize("override", ["synth.channels=5",
+                                          "train.slots_per_window=16",
+                                          "train.pretrain_slots_per_window=16"])
+    def test_out_of_range_config_exit_1_without_outputs(self, tmp_path, override):
+        # MICRO has 4 electrode rows and the desk profile's 8 slot rows
+        out = tmp_path / "out"
+        assert cmd(["train-tokenizer", "--out-dir", str(out), *MICRO,
+                    "--set", override]) == 1
+        assert not out.exists() or not any(out.rglob("*"))
+
     def test_synth_gen_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rvqtok.checkpoint import load_arrays, save_arrays
 from rvqtok.encoder import EncoderConfig
 from rvqtok.errors import CompatibilityError, ConfigError
 from rvqtok.pretrain import (BackboneModel, PretrainConfig, align_teacher,
@@ -275,3 +276,21 @@ class TestBackboneCheckpoint:
         wins = build_windows(recs, 16, 2, val_fraction=0.0)
         np.testing.assert_array_equal(extract_features(loaded, wins),
                                       extract_features(loaded, wins))
+
+    def test_window_length_round_trips(self, tmp_path):
+        cfg = tiny_pretrain_config(seed=0)
+        cfg.slots_per_window = 3
+        save_backbone(BackboneModel(cfg, seed=7), tmp_path / "a.ckpt")
+        loaded = load_backbone(tmp_path / "a.ckpt")
+        assert loaded.cfg.slots_per_window == 3
+
+    def test_parameter_shape_mismatch_named(self, tmp_path):
+        backbone = BackboneModel(tiny_pretrain_config(seed=0), seed=7)
+        path = tmp_path / "a.ckpt"
+        save_backbone(backbone, path)
+        kind, snap, arrays = load_arrays(path)
+        arrays["param.mask_token"] = np.zeros(5, dtype=np.float32)
+        save_arrays(path, kind, snap, arrays)
+        with pytest.raises(CompatibilityError) as err:
+            load_backbone(path)
+        assert "mask_token" in str(err.value)

@@ -9,7 +9,7 @@ from rvqtok.encoder import EncoderConfig
 from rvqtok.errors import CompatibilityError, ConfigError, NumericError
 from rvqtok.signals import Recording, SynthSpec, synth_generate
 from rvqtok.tokenizer import (TokenizerConfig, TokenizerModel,
-                              TrainState, build_windows, decode, eval_per_band,
+                              TrainState, build_windows, eval_per_band,
                               evaluate, load_tokenizer, save_tokenizer,
                               train_step, train_tokenizer)
 
@@ -59,6 +59,42 @@ class TestBuildWindows:
             build_windows([Recording(64.0, ["a"], np.zeros((1, 20)))], 16, 2)
 
 
+class TestBatches:
+    """WindowSet.batches against the boolean-mask batch loop it replaced."""
+
+    @staticmethod
+    def _mask_loop(windows, bs, order):
+        for lo in range(0, windows.n_windows, bs):
+            sel = np.zeros(windows.n_windows, dtype=bool)
+            sel[order[lo:lo + bs]] = True
+            yield sel, windows.subset(sel)
+
+    def test_every_window_once_with_short_last_batch(self):
+        wins = build_windows(tiny_corpus(n=2), 16, 2, val_fraction=0.0)
+        assert wins.n_windows == 16
+        got = list(wins.batches(5))
+        assert [len(idx) for idx, _ in got] == [5, 5, 5, 1]
+        np.testing.assert_array_equal(np.concatenate([idx for idx, _ in got]),
+                                      np.arange(16))
+        for idx, chunk in got:
+            np.testing.assert_array_equal(chunk.patches, wins.patches[idx])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_permutation_matches_mask_loop(self, seed):
+        wins = build_windows(tiny_corpus(n=2), 16, 2, val_fraction=0.0)
+        order = np.random.default_rng(seed).permutation(wins.n_windows)
+        got = list(wins.batches(3, order))
+        want = list(self._mask_loop(wins, 3, order))
+        assert len(got) == len(want) == 6
+        np.testing.assert_array_equal(np.sort(np.concatenate([i for i, _ in got])),
+                                      np.arange(16))
+        for (idx, chunk), (sel, ref) in zip(got, want):
+            np.testing.assert_array_equal(idx, np.flatnonzero(sel))
+            for name in ("patches", "channel_idx", "slot_idx", "rec_idx",
+                         "abs_slot", "val_mask"):
+                np.testing.assert_array_equal(getattr(chunk, name), getattr(ref, name))
+
+
 class TestModel:
     def test_head_widths_paper_patch_length(self):
         enc = EncoderConfig(w=200, model_dim=32, S=1, depth=0, heads=2,
@@ -82,11 +118,13 @@ class TestModel:
         np.testing.assert_array_equal(pred.cos_hat.data, 0.0)
 
     def test_decode_deterministic(self):
+        from rvqtok.autodiff import Tensor
+
         cfg = tiny_config()
         model = TokenizerModel(cfg, seed=2)
         reps = np.random.default_rng(3).normal(size=(2, 3, 16))
-        a = decode(reps, model)
-        b = decode(reps, model)
+        a = model.decode([Tensor(r[None]) for r in reps])
+        b = model.decode([Tensor(r[None]) for r in reps])
         assert np.array_equal(a.log_amp_hat.data, b.log_amp_hat.data)
 
     def test_token_indices_extents(self):
