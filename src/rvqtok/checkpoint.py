@@ -3,8 +3,11 @@
 Layout: 8-byte magic, u32 format version, u64 header length, JSON header,
 then concatenated little-endian float32 payloads in header order.  The
 header carries the kind tag, a config snapshot, and the name/shape manifest
-of every array.  Loading materializes exactly the stored f32 values, so a
-save -> load -> save cycle is byte-identical.
+of every array.
+
+Models run in float64 and a checkpoint stores each value's float32
+rounding, so save -> load rounds.  Loading materializes exactly the stored
+f32 values, so a save -> load -> save cycle is byte-identical.
 """
 
 from __future__ import annotations
@@ -75,8 +78,8 @@ def require_field(config: dict, field: str, expected) -> None:
             f"checkpoint field {field!r} is {config[field]!r}, runtime expects {expected!r}")
 
 
-def restore_params(params, arrays: dict[str, np.ndarray], dtype: str) -> None:
-    """Load each parameter from its ``param.<name>`` array, cast to ``dtype``.
+def restore_params(params, arrays: dict[str, np.ndarray]) -> None:
+    """Load each parameter from its ``param.<name>`` array as float64.
 
     A missing array or a shape that differs from the runtime parameter
     raises a CompatibilityError naming the parameter.
@@ -89,4 +92,4 @@ def restore_params(params, arrays: dict[str, np.ndarray], dtype: str) -> None:
             raise CompatibilityError(
                 f"checkpoint field {p.name!r} has shape {arrays[key].shape}, "
                 f"runtime expects {p.data.shape}")
-        p.tensor.data = arrays[key].astype(dtype)
+        p.tensor.data = arrays[key].astype(np.float64)

@@ -1,6 +1,7 @@
 """Command-line entry point: run orchestration, CSV reports, run manifests.
 
-Exit status: 0 success, 1 validation/configuration error, 2 numeric failure.
+Exit status: 0 success, 1 validation/configuration error, 2 numeric failure
+or running out of memory.
 Partially written outputs are removed when a command fails.
 """
 
@@ -388,6 +389,10 @@ def cmd(argv) -> int:
     except (NumericError, ArithmeticError) as exc:
         run.cleanup()
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        run.cleanup()
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
 
 

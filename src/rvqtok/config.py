@@ -62,7 +62,6 @@ CONFIG_SCHEMA: dict[str, dict[str, tuple[type, str]]] = {
         "pretrain_weight_decay": (float, "pretraining AdamW weight decay"),
         "pretrain_batch_size": (int, "pretraining batch size (windows)"),
         "pretrain_slots_per_window": (int, "pretraining window length in slots"),
-        "dtype": (str, "training dtype: float32 or float64"),
     },
     "synth": {
         "recordings": (int, "number of synthetic recordings"),
@@ -89,8 +88,7 @@ DESK_PROFILE: dict[str, dict] = {
               "slots_per_window": 2, "mask_ratio": 0.5, "pretrain_epochs": 10,
               "pretrain_lr": 3e-3, "pretrain_min_lr": 1e-5,
               "pretrain_warmup_epochs": 1, "pretrain_weight_decay": 0.05,
-              "pretrain_batch_size": 2, "pretrain_slots_per_window": 2,
-              "dtype": "float32"},
+              "pretrain_batch_size": 2, "pretrain_slots_per_window": 2},
     "synth": {"recordings": 16, "channels": 8, "duration": 24.0,
               "sample_rate": 128.0, "noise_level": 0.02,
               "components_per_band": 1, "probe_recordings_per_class": 16},
@@ -110,8 +108,7 @@ PAPER_PROFILE: dict[str, dict] = {
               "slots_per_window": 4, "mask_ratio": 0.5, "pretrain_epochs": 50,
               "pretrain_lr": 5e-4, "pretrain_min_lr": 1e-5,
               "pretrain_warmup_epochs": 5, "pretrain_weight_decay": 0.05,
-              "pretrain_batch_size": 64, "pretrain_slots_per_window": 4,
-              "dtype": "float32"},
+              "pretrain_batch_size": 64, "pretrain_slots_per_window": 4},
     "synth": {"recordings": 64, "channels": 16, "duration": 60.0,
               "sample_rate": 200.0, "noise_level": 0.02,
               "components_per_band": 1, "probe_recordings_per_class": 16},
@@ -151,8 +148,7 @@ class RunConfig:
             encoder=self.encoder_config(), levels=m["N"], codebook_size=m["K"],
             code_dim=m["d_c"], decoder_depth=m["decoder_depth"],
             commitment_beta=t["commitment_beta"], ema_decay=t["ema_decay"],
-            lambda_circle=t["lambda_circle"], fusion=m["fusion"],
-            dtype=t["dtype"])
+            lambda_circle=t["lambda_circle"], fusion=m["fusion"])
 
     def pretrain_config(self) -> PretrainConfig:
         m, t, r = self.values["model"], self.values["train"], self.values["run"]
@@ -165,8 +161,7 @@ class RunConfig:
             weight_decay=t["pretrain_weight_decay"],
             batch_size=t["pretrain_batch_size"],
             slots_per_window=t["pretrain_slots_per_window"],
-            teacher_slots=t["slots_per_window"], seed=r["seed"],
-            dtype=t["dtype"])
+            teacher_slots=t["slots_per_window"], seed=r["seed"])
 
     def validate(self) -> None:
         m, t, s = self.values["model"], self.values["train"], self.values["synth"]
@@ -180,8 +175,6 @@ class RunConfig:
             raise ConfigError("train.lambda_circle must be non-negative")
         if m["N"] < 1 or m["K"] < 1:
             raise ConfigError("model.N and model.K must be at least 1")
-        if t["dtype"] not in ("float32", "float64"):
-            raise ConfigError("train.dtype must be float32 or float64")
         if s["recordings"] < 1 or s["channels"] < 1:
             raise ConfigError("synth.recordings and synth.channels must be positive")
         if m["fusion"] not in ("sum", "concat"):

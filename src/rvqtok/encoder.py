@@ -313,13 +313,21 @@ class MultiScaleEncoder:
         the transformer, so they run through them as one (S * B)-row batch.
         ``features`` overrides the stacked branch outputs (the
         masked-pretraining path substitutes mask tokens before the
-        embeddings are added).
+        embeddings are added).  Channel and slot rows outside the embedding
+        tables raise a ConfigError naming the config key that sizes them.
         """
+        channel_idx, slot_idx = np.asarray(channel_idx), np.asarray(slot_idx)
+        for idx, what, key, rows in (
+                (channel_idx, "electrode", "n_electrodes", self.cfg.n_electrodes),
+                (slot_idx, "slot", "max_slots", self.cfg.max_slots)):
+            if idx.size and (idx.min() < 0 or idx.max() >= rows):
+                raise ConfigError(f"{what} rows span [{idx.min()}, {idx.max()}], "
+                                  f"outside the {rows} rows of model.{key}")
         if features is None:
             features = self.branch_features(ad._as_tensor(patches))
         S, B, P, _ = features.shape
-        se = ad.embedding_lookup(self.tables.spatial.tensor, np.asarray(channel_idx))
-        te = ad.embedding_lookup(self.tables.temporal.tensor, np.asarray(slot_idx))
+        se = ad.embedding_lookup(self.tables.spatial.tensor, channel_idx)
+        te = ad.embedding_lookup(self.tables.temporal.tensor, slot_idx)
         x = ad.add(features, ad.add(se, te))
         if self.input_proj is not None:
             x = self.input_proj(x)

@@ -174,7 +174,7 @@ def _tiny_tokenizer() -> tuple[TokenizerModel, np.ndarray, np.ndarray, np.ndarra
         n_electrodes=2, max_slots=2,
         branches=[BranchConfig(kernels=(3, 3), paddings=(1, 1), pools=(2, 4))])
     cfg = TokenizerConfig(encoder=enc, levels=2, codebook_size=4, code_dim=4,
-                          decoder_depth=1, dtype="float64")
+                          decoder_depth=1)
     model = TokenizerModel(cfg, seed=3)
     rng = np.random.default_rng(11)
     patches = rng.normal(size=(1, 2, 8))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class Parameter:
 
 
 def adamw_step(params: Iterable[Parameter],
-               grads: Mapping[Tensor, np.ndarray] | None = None,
                lr: float = 1e-3,
                betas: tuple[float, float] = (0.9, 0.999),
                weight_decay: float = 0.0,
@@ -43,7 +42,7 @@ def adamw_step(params: Iterable[Parameter],
     """Decoupled-weight-decay Adam update, in place."""
     b1, b2 = betas
     for p in params:
-        g = grads.get(p.tensor) if grads is not None else p.tensor.grad
+        g = p.tensor.grad
         if g is None:
             g = np.zeros_like(p.data)
         if g.shape != p.data.shape:

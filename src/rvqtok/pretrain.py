@@ -74,7 +74,6 @@ class PretrainConfig:
     # (None: same as slots_per_window)
     teacher_slots: int | None = None
     seed: int = 0
-    dtype: str = "float32"
 
     def __post_init__(self):
         if not 0.0 < self.mask_ratio < 1.0:
@@ -93,11 +92,6 @@ class BackboneModel:
         self.heads = [[Linear(enc.model_dim, cfg.codebook_size, rng,
                               f"head.s{s}.n{n}", scale=0.01)
                        for n in range(cfg.levels)] for s in range(enc.S)]
-        if cfg.dtype == "float32":
-            for p in self.params():
-                p.tensor.data = p.tensor.data.astype(np.float32)
-                p.m = p.m.astype(np.float32)
-                p.v = p.v.astype(np.float32)
 
     def params(self) -> list[Parameter]:
         out = list(self.encoder.params())
@@ -116,12 +110,11 @@ class BackboneModel:
                 ) -> list[Tensor]:
         """Per-branch (B, P, D) representations; masked patches' branch
         features are replaced by the mask token before embeddings are added."""
-        x = patches.astype(np.float32) if self.cfg.dtype == "float32" else patches
-        t = ad._as_tensor(x)
+        t = ad._as_tensor(patches)
         features = self.encoder.branch_features(t)  # (S, B, P, w)
         if mask is not None:
-            keep = Tensor((~mask)[..., None].astype(features.dtype))
-            hide = Tensor(mask[..., None].astype(features.dtype))
+            keep = Tensor((~mask)[..., None])
+            hide = Tensor(mask[..., None])
             token = ad.reshape(self.mask_token.tensor, (1, 1, self.cfg.encoder.w))
             features = ad.add(ad.mul(features, keep), ad.mul(token, hide))
         return self.encoder.forward(t, channel_idx, slot_idx, features=features)
@@ -409,7 +402,7 @@ def fit_linear_probe(X: np.ndarray, labels: np.ndarray,
 def _backbone_snapshot(cfg: PretrainConfig) -> dict:
     return {**encoder_snapshot(cfg.encoder), "levels": cfg.levels,
             "codebook_size": cfg.codebook_size, "mask_ratio": cfg.mask_ratio,
-            "slots_per_window": cfg.slots_per_window, "dtype": cfg.dtype}
+            "slots_per_window": cfg.slots_per_window}
 
 
 def save_backbone(backbone: BackboneModel, path) -> None:
@@ -426,7 +419,7 @@ def load_backbone(path) -> BackboneModel:
     cfg = PretrainConfig(encoder=encoder_from_snapshot(snap), levels=snap["levels"],
                          codebook_size=snap["codebook_size"],
                          mask_ratio=snap["mask_ratio"],
-                         slots_per_window=snap["slots_per_window"], dtype=snap["dtype"])
+                         slots_per_window=snap["slots_per_window"])
     backbone = BackboneModel(cfg, seed=0)
-    restore_params(backbone.params(), arrays, cfg.dtype)
+    restore_params(backbone.params(), arrays)
     return backbone

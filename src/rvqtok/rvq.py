@@ -179,25 +179,22 @@ class RVQStack:
         return TokenAssignment(indices, codewords, level_inputs, resid)
 
 
-def quantization_loss(p_levels, z_levels, beta: float = 0.25) -> Tensor:
-    """Commitment loss: beta * mean over levels/bins of (p - stopgrad(z))^2.
+def quantization_loss(p_code, codewords: np.ndarray, beta: float = 0.25) -> Tensor:
+    """Commitment loss: beta * mean over levels, rows and dims of (r_i - z_i)^2.
 
-    ``p_levels`` may hold Tensors (training path) or arrays; ``z_levels``
-    are treated as constants either way — the codebooks learn by EMA, not
-    by gradient.
+    Level i quantizes the residual r_i = p - (z_1 + ... + z_{i-1}), so
+    r_i - z_i = p - cumsum(z)_i and every level's term comes from one
+    broadcast subtraction.  ``p_code`` (B, d_c) may be a Tensor (training
+    path) or an array; the selected codewords (N, B, d_c) are constants —
+    the codebooks learn by EMA, not by gradient.
     """
-    if len(p_levels) != len(z_levels):
-        raise ShapeError("p_levels and z_levels must align")
-    if not p_levels:
-        raise ShapeError("quantization_loss needs at least one level")
-    total = None
-    for p_i, z_i in zip(p_levels, z_levels):
-        p_t = ad._as_tensor(p_i)
-        z_c = Tensor(np.asarray(z_i.data if isinstance(z_i, Tensor) else z_i))
-        term = ad.tmean(ad.square(ad.sub(p_t, z_c)))
-        total = term if total is None else ad.add(total, term)
-    scale = beta / len(p_levels)
-    return ad.mul(Tensor(np.asarray(scale, dtype=total.dtype)), total)
+    p_t = ad._as_tensor(p_code)
+    codewords = np.asarray(codewords)
+    if codewords.ndim != 3 or codewords.shape[1:] != p_t.shape:
+        raise ShapeError(f"codewords {codewords.shape} do not stack levels over "
+                         f"inputs {p_t.shape}")
+    err = ad.sub(p_t, Tensor(np.cumsum(codewords, axis=0)))
+    return ad.mul(Tensor(np.asarray(beta)), ad.tmean(ad.square(err)))
 
 
 def ema_update(book: Codebook, indices: np.ndarray, inputs: np.ndarray,

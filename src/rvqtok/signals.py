@@ -103,6 +103,12 @@ DEFAULT_AMPLITUDES: dict[str, tuple[float, float]] = {
     "delta": (0.8, 1.2), "theta": (0.5, 0.9), "alpha": (0.5, 0.9),
     "beta": (0.2, 0.4), "gamma": (0.1, 0.2),
 }
+#: Component frequencies are drawn this fraction of the band width inside
+#: each band edge, keeping their power clear of the Butterworth -3 dB
+#: roll-off at the edges.
+BAND_MARGIN = 0.25
+#: Range of the per-channel gain magnitude of each component.
+CHANNEL_GAIN_RANGE = (0.5, 1.0)
 
 
 @dataclass
@@ -123,10 +129,6 @@ class SynthSpec:
         default_factory=lambda: dict(DEFAULT_AMPLITUDES))
     noise_level: float = 0.02
     seed: int = 0
-    # frequencies are drawn this fraction inside each band edge, keeping
-    # component power clear of the Butterworth -3dB roll-off at the edges
-    band_margin: float = 0.25
-    channel_gain_range: tuple[float, float] = (0.5, 1.0)
 
     def __post_init__(self):
         for name, rng in self.amplitude_ranges.items():
@@ -323,14 +325,14 @@ def synth_generate(spec: SynthSpec) -> Recording:
     n = int(round(spec.duration * spec.sample_rate))
     t = np.arange(n) / spec.sample_rate
     data = np.zeros((spec.n_channels, n))
-    g_lo, g_hi = spec.channel_gain_range
+    g_lo, g_hi = CHANNEL_GAIN_RANGE
     for band in STANDARD_BANDS:
         count = spec.components_per_band.get(band.name, 0)
         if count == 0:
             continue
         lo_amp, hi_amp = spec.amplitude_ranges.get(band.name, (0.0, 0.0))
         low, high = band.edges(spec.sample_rate)
-        margin = spec.band_margin * (high - low)
+        margin = BAND_MARGIN * (high - low)
         for _ in range(count):
             freq = rng.uniform(low + margin, high - margin)
             phase = rng.uniform(-math.pi, math.pi)

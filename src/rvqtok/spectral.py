@@ -108,14 +108,13 @@ def chord_loss(phi1, phi2):
 
 
 def unit_circle_loss(pred: PhasePrediction, target: SpectralTarget,
-                     lambda_circle: float = 0.4,
-                     squared_denominator: bool = False) -> Tensor:
+                     lambda_circle: float = 0.4) -> Tensor:
     """Phase alignment on the unit circle plus an off-circle penalty.
 
     Mean over bins of ``1 - <(cos_hat, sin_hat), (cos, sin)> / max(|v|, eps)``
-    plus ``lambda_circle * (|v|^2 - 1)^2``.  The alignment denominator uses
-    the predicted norm once; ``squared_denominator=True`` reproduces the
-    squared form instead (kept for fidelity experiments).
+    plus ``lambda_circle * (|v|^2 - 1)^2``.  The alignment denominator is
+    the predicted norm, not its square, so the term is the cosine of the
+    phase error and does not depend on the predicted magnitude.
     """
     sin_hat = ad._as_tensor(pred.sin_hat)
     cos_hat = ad._as_tensor(pred.cos_hat)
@@ -126,11 +125,8 @@ def unit_circle_loss(pred: PhasePrediction, target: SpectralTarget,
             f"phase arrays disagree: pred {sin_hat.shape}, target {sin_t.shape}")
     dot = ad.add(ad.mul(cos_hat, Tensor(cos_t)), ad.mul(sin_hat, Tensor(sin_t)))
     nsq = ad.add(ad.square(cos_hat), ad.square(sin_hat))
-    if squared_denominator:
-        den = ad.clamp_min(nsq, NORM_EPS)
-    else:
-        # clamp before the root so the (0,0) prediction stays differentiable
-        den = ad.sqrt(ad.clamp_min(nsq, NORM_EPS * NORM_EPS))
+    # clamp before the root so the (0,0) prediction stays differentiable
+    den = ad.sqrt(ad.clamp_min(nsq, NORM_EPS * NORM_EPS))
     align = ad.tmean(ad.div(dot, den))
     one = Tensor(np.asarray(1.0))
     penalty = ad.tmean(ad.square(ad.sub(nsq, Tensor(np.ones(nsq.shape)))))

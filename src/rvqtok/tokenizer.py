@@ -40,7 +40,6 @@ class TokenizerConfig:
     ema_decay: float = 0.99
     lambda_circle: float = 0.4
     fusion: str = "sum"        # or "concat"
-    dtype: str = "float32"
 
     def __post_init__(self):
         if self.levels < 1:
@@ -76,11 +75,6 @@ class TokenizerModel:
         self.head_cos = Linear(enc.model_dim, nb, rng, "head.cos", scale=0.02)
         # start phase predictions on the unit circle at angle zero
         self.head_cos.b.tensor.data = np.ones(nb)
-        if cfg.dtype == "float32":
-            for p in self.params():
-                p.tensor.data = p.tensor.data.astype(np.float32)
-                p.m = p.m.astype(np.float32)
-                p.v = p.v.astype(np.float32)
 
     def params(self) -> list[Parameter]:
         out = list(self.encoder.params())
@@ -105,14 +99,16 @@ class TokenizerModel:
         """Quantize per-branch (B, P, D) reps through their stacks.
 
         Returns the straight-through quantized reps (up-projected), the raw
-        assignments, and the commitment loss term.  ``identity_codes`` routes
-        the code-space input through unchanged (the straight-through fixed
-        point, where its estimator is exact); finite-difference checks of the
-        composed loss use this together with ``forced`` assignments.
+        assignments, and the commitment loss averaged over the stacks.
+        ``identity_codes`` routes the code-space input through unchanged (the
+        straight-through fixed point, where its estimator is exact);
+        finite-difference checks of the composed loss use this together with
+        ``forced`` assignments.
         """
         quantized: list[Tensor] = []
         assigns: list[TokenAssignment] = []
         lq_total: Tensor | None = None
+        beta = self.cfg.commitment_beta / len(self.stacks)
         for s, (rep, stack) in enumerate(zip(reps, self.stacks)):
             B, P, D = rep.shape
             flat = ad.reshape(rep, (B * P, D))
@@ -120,22 +116,13 @@ class TokenizerModel:
             assign = stack.quantize_codes(p_code.data,
                                           forced[s] if forced is not None else None)
             assigns.append(assign)
-            p_levels, z_levels = [], []
-            prefix = np.zeros_like(assign.codewords[0])
-            for i in range(stack.levels):
-                p_lvl = p_code if i == 0 else ad.sub(p_code, Tensor(prefix))
-                p_levels.append(p_lvl)
-                z_levels.append(assign.codewords[i])
-                prefix = prefix + assign.codewords[i]
-            lq = quantization_loss(p_levels, z_levels, self.cfg.commitment_beta)
+            lq = quantization_loss(p_code, assign.codewords, beta)
             lq_total = lq if lq_total is None else ad.add(lq_total, lq)
             target_codes = (p_code.data.copy() if identity_codes
                             else assign.reconstruction)
             st = ad.straight_through(p_code, Tensor(target_codes))
             up = ad.linear(st, stack.up_proj.tensor)
             quantized.append(ad.reshape(up, (B, P, D)))
-        if lq_total is not None:
-            lq_total = ad.mul(Tensor(np.asarray(1.0 / len(self.stacks))), lq_total)
         return quantized, assigns, lq_total
 
     def decode(self, quantized: list[Tensor]) -> PhasePrediction:
@@ -153,8 +140,7 @@ class TokenizerModel:
     def forward(self, patches: np.ndarray, channel_idx: np.ndarray,
                 slot_idx: np.ndarray) -> tuple[PhasePrediction, list[TokenAssignment], Tensor | None]:
         """Full tokenizer pass over a (B, P, w) window batch."""
-        x = patches.astype(np.float32) if self.cfg.dtype == "float32" else patches
-        reps = self.encoder.forward(x, channel_idx, slot_idx)
+        reps = self.encoder.forward(patches, channel_idx, slot_idx)
         quantized, assigns, lq = self.quantize_branches(reps)
         return self.decode(quantized), assigns, lq
 
@@ -168,8 +154,7 @@ class TokenizerModel:
                       slot_idx: np.ndarray) -> np.ndarray:
         """Code indices with extents (B, P, S, N)."""
         B, P, _ = patches.shape
-        x = patches.astype(np.float32) if self.cfg.dtype == "float32" else patches
-        reps = self.encoder.forward(x, channel_idx, slot_idx)
+        reps = self.encoder.forward(patches, channel_idx, slot_idx)
         _, assigns, _ = self.quantize_branches(reps)
         out = np.stack([a.indices.reshape(B, P, -1) for a in assigns], axis=2)
         return out
@@ -278,6 +263,9 @@ def build_windows(recordings: list[Recording], w: int, slots_per_window: int,
 # ---------------------------------------------------------------------------
 # training
 
+#: Global gradient-norm ceiling applied before every tokenizer update.
+CLIP_NORM = 3.0
+
 
 @dataclass
 class TrainState:
@@ -285,11 +273,7 @@ class TrainState:
     warmup_steps: int
     base_lr: float = 1e-3
     min_lr: float = 1e-5
-    betas: tuple[float, float] = (0.9, 0.999)
     weight_decay: float = 1e-4
-    clip_norm: float = 3.0
-    seed: int = 0
-    epoch: int = 0
     step: int = 0
 
     def lr(self) -> float:
@@ -326,9 +310,8 @@ def train_step(batch: WindowSet, model: TokenizerModel, state: TrainState
     if not math.isfinite(parts["total"]):
         raise NumericError(f"non-finite loss at step {state.step}: {parts}")
     backward(tape, total)
-    clip_global_norm(params, state.clip_norm)
-    adamw_step(params, lr=state.lr(), betas=state.betas,
-               weight_decay=state.weight_decay)
+    clip_global_norm(params, CLIP_NORM)
+    adamw_step(params, lr=state.lr(), weight_decay=state.weight_decay)
     model.zero_grads()
     for stack, assign in zip(model.stacks, assigns):
         for i, book in enumerate(stack.codebooks):
@@ -385,7 +368,7 @@ def train_tokenizer(dataset: list[Recording], cfg: TokenizerConfig,
     state = TrainState(total_steps=max(1, epochs * steps_per_epoch),
                        warmup_steps=warmup_epochs * steps_per_epoch,
                        base_lr=base_lr, min_lr=min_lr,
-                       weight_decay=weight_decay, seed=seed)
+                       weight_decay=weight_decay)
     curves: list[dict] = []
     if epochs == 0:
         return model, curves
@@ -405,7 +388,6 @@ def train_tokenizer(dataset: list[Recording], cfg: TokenizerConfig,
                               rng=np.random.default_rng(seed + 10 + s))
 
     for epoch in range(1, epochs + 1):
-        state.epoch = epoch
         for stack in model.stacks:
             for book in stack.codebooks:
                 begin_epoch(book)
@@ -479,7 +461,6 @@ def _config_snapshot(cfg: TokenizerConfig) -> dict:
         "code_dim": cfg.code_dim, "decoder_depth": cfg.decoder_depth,
         "commitment_beta": cfg.commitment_beta, "ema_decay": cfg.ema_decay,
         "lambda_circle": cfg.lambda_circle, "fusion": cfg.fusion,
-        "dtype": cfg.dtype,
     }
 
 
@@ -491,7 +472,7 @@ def config_from_snapshot(snap: dict) -> TokenizerConfig:
                            commitment_beta=snap["commitment_beta"],
                            ema_decay=snap["ema_decay"],
                            lambda_circle=snap["lambda_circle"],
-                           fusion=snap["fusion"], dtype=snap["dtype"])
+                           fusion=snap["fusion"])
 
 
 def save_tokenizer(model: TokenizerModel, path) -> None:
@@ -517,7 +498,7 @@ def load_tokenizer(path, expected: TokenizerConfig | None = None) -> TokenizerMo
             require_field(snap, fieldname, want[fieldname])
     cfg = config_from_snapshot(snap)
     model = TokenizerModel(cfg, seed=0)
-    restore_params(model.params(), arrays, cfg.dtype)
+    restore_params(model.params(), arrays)
     for s, stack in enumerate(model.stacks):
         for i, book in enumerate(stack.codebooks):
             book.entries = arrays[f"codebook.{s}.{i}.entries"].astype(np.float64)

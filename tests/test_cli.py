@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from rvqtok import cli
 from rvqtok.cli import SUBCOMMANDS, _build_parser, cmd
 from rvqtok.config import CONFIG_SCHEMA, load_config
 from rvqtok.errors import ConfigError
+from rvqtok.signals import SynthSpec, save_recording, synth_generate
 
 # micro settings that make training commands run in seconds
 MICRO = [
@@ -109,6 +111,28 @@ class TestCommands:
         assert cmd(["train-tokenizer", "--out-dir", str(out), *MICRO,
                     "--set", override]) == 1
         assert not out.exists() or not any(out.rglob("*"))
+
+    def test_recordings_beyond_electrode_rows_exit_1_without_outputs(self, tmp_path):
+        # two 6-channel recordings, but MICRO sizes the channel table at 4
+        data = tmp_path / "data"
+        data.mkdir()
+        for i in range(2):
+            save_recording(synth_generate(SynthSpec(seed=i, n_channels=6, duration=4.0,
+                                                    sample_rate=64.0)),
+                           data / f"rec{i}.csv")
+        out = tmp_path / "out"
+        assert cmd(["train-tokenizer", "--out-dir", str(out), *MICRO,
+                    "--set", f"run.data_dir={data}"]) == 1
+        assert not out.exists() or not any(out.rglob("*"))
+
+    def test_out_of_memory_exit_2_with_cleanup(self, tmp_path, monkeypatch):
+        def body(run, args):
+            run.write_csv("partial.csv", "a", [(1,)])
+            raise MemoryError("Unable to allocate 16.0 GiB")
+
+        monkeypatch.setitem(cli._BODIES, "synth-gen", body)
+        assert cmd(["synth-gen", "--out-dir", str(tmp_path), *MICRO]) == 2
+        assert not any(tmp_path.rglob("*"))
 
     def test_synth_gen_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

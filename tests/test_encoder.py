@@ -119,8 +119,10 @@ class TestEmbeddings:
 
     def test_out_of_range_index(self):
         enc = self._encoder()
-        with pytest.raises(IndexError):
+        with pytest.raises(ConfigError, match="model.n_electrodes"):
             self._embed(enc, np.zeros((2, 1, 1, 8)), np.array([[9]]), np.array([[0]]))
+        with pytest.raises(ConfigError, match="model.max_slots"):
+            self._embed(enc, np.zeros((2, 1, 1, 8)), np.array([[0]]), np.array([[6]]))
 
 
 class TestTransformer:

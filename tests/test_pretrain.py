@@ -64,7 +64,7 @@ class TestMaskPlans:
 @pytest.fixture(scope="module")
 def trained_pair():
     recs = tiny_corpus(n=3, channels=2, seconds=6.0, seed=40)
-    tok_model, _ = train_tokenizer(recs, tiny_config(dtype="float32"), epochs=1,
+    tok_model, _ = train_tokenizer(recs, tiny_config(), epochs=1,
                                    slots_per_window=2, batch_size=2, seed=0)
     return recs, tok_model
 
@@ -87,8 +87,8 @@ class TestTeacherTokens:
         got = teacher_tokens(chunk, tok_model)
         # independent pass: encoder reps -> down-projection -> per-level
         # normalized nearest-neighbor scan
-        reps = tok_model.encoder.forward(
-            chunk.patches.astype(np.float32), chunk.channel_idx, chunk.slot_idx)
+        reps = tok_model.encoder.forward(chunk.patches, chunk.channel_idx,
+                                         chunk.slot_idx)
         for s, stack in enumerate(tok_model.stacks):
             flat = reps[s].data.reshape(-1, reps[s].shape[-1])
             resid = flat @ stack.down_proj.data
@@ -294,3 +294,44 @@ class TestBackboneCheckpoint:
         with pytest.raises(CompatibilityError) as err:
             load_backbone(path)
         assert "mask_token" in str(err.value)
+
+
+def test_desk_models_run_in_float64(monkeypatch):
+    """Every parameter of the desk tokenizer and backbone, and the output of
+    every tape entry of one training step of each, is float64."""
+    from rvqtok import autodiff as ad
+    from rvqtok import pretrain as pt
+    from rvqtok import tokenizer as tk
+    from rvqtok.config import load_config
+    from rvqtok.signals import SynthSpec, synth_generate
+
+    tapes = []
+
+    def keep_tape(tape, loss):
+        tapes.append(tape)
+        return ad.backward(tape, loss)
+
+    monkeypatch.setattr(tk, "backward", keep_tape)
+    monkeypatch.setattr(pt, "backward", keep_tape)
+    cfg = load_config(profile="desk")
+    tc, pc = cfg.tokenizer_config(), cfg.pretrain_config()
+    recs = [synth_generate(SynthSpec(seed=s, n_channels=8, duration=2.0,
+                                     sample_rate=128.0)) for s in range(2)]
+    wins = build_windows(recs, tc.encoder.w, pc.slots_per_window, val_fraction=0.0)
+    batch = wins.subset(np.arange(wins.n_windows) < 2)
+    W, P = batch.patches.shape[:2]
+    tokenizer, backbone = tk.TokenizerModel(tc, seed=0), pt.BackboneModel(pc, seed=0)
+    params = [p for model in (tokenizer, backbone) for p in model.params()]
+
+    tk.train_step(batch, tokenizer, tk.TrainState(total_steps=1, warmup_steps=0))
+    rng = np.random.default_rng(0)
+    teacher = rng.integers(0, pc.codebook_size, size=(W, P, pc.encoder.S, pc.levels))
+    masks = np.stack([make_symmetric_masks(P, pc.mask_ratio, rng).mask
+                      for _ in range(W)])
+    pretrain_step(batch, masks, backbone, teacher, lr=1e-3)
+
+    assert all(p.data.dtype == np.float64 for p in params)
+    assert len(tapes) == 2
+    for tape in tapes:
+        odd = [e.name for e in tape.entries if e.output.dtype != np.float64]
+        assert not odd, f"{len(odd)} of {len(tape.entries)} entries not float64: {odd[:5]}"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rvqtok import autodiff as ad
 from rvqtok.autodiff import Tape, Tensor, backward
-from rvqtok.errors import ConfigError
+from rvqtok.errors import ConfigError, ShapeError
 from rvqtok.optim import Parameter
 from rvqtok.rvq import (Codebook, RVQStack, begin_epoch, end_epoch_reinit,
                         ema_update, kmeans_init, kmeans_init_stack,
@@ -148,20 +148,34 @@ class TestStraightThrough:
         np.testing.assert_allclose(p.grad, 2.0 * p_hat.data, atol=1e-12)
 
 
+def _per_level_commitment(p, codewords, beta):
+    """The commitment loss written level by level: the mean of
+    beta * mean((r_i - z_i)^2) over levels, r_i the residual level i sees."""
+    total, prefix = None, np.zeros_like(codewords[0])
+    for z in codewords:
+        r = p if total is None else ad.sub(p, Tensor(prefix))
+        term = ad.tmean(ad.square(ad.sub(r, Tensor(z))))
+        total = term if total is None else ad.add(total, term)
+        prefix = prefix + z
+    return ad.mul(Tensor(np.asarray(beta / len(codewords))), total)
+
+
 class TestQuantizationLoss:
     def test_zero_when_codewords_match(self):
-        p = [np.array([[1.0, 2.0]]), np.array([[0.5, -0.5]])]
-        assert quantization_loss(p, p, beta=0.25).item() == 0.0
+        # level 1 picks the input itself, level 2 the zero residual
+        p = np.array([[1.0, 2.0]])
+        codewords = np.stack([p, np.zeros_like(p)])
+        assert quantization_loss(p, codewords, beta=0.25).item() == 0.0
 
     def test_hand_computed_value(self):
-        loss = quantization_loss([np.array([[1.0, 0.0]])], [np.array([[0.0, 0.0]])],
+        loss = quantization_loss(np.array([[1.0, 0.0]]), np.zeros((1, 1, 2)),
                                  beta=0.25)
         assert abs(loss.item() - 0.125) < 1e-12
 
     def test_beta_linearity(self):
         rng = np.random.default_rng(4)
-        p = [rng.normal(size=(3, 2))]
-        z = [rng.normal(size=(3, 2))]
+        p = rng.normal(size=(3, 2))
+        z = rng.normal(size=(1, 3, 2))
         l1 = quantization_loss(p, z, beta=0.25).item()
         l2 = quantization_loss(p, z, beta=0.5).item()
         assert abs(l2 - 2.0 * l1) < 1e-12
@@ -169,12 +183,36 @@ class TestQuantizationLoss:
     def test_gradient_flows_to_inputs_not_codewords(self):
         rng = np.random.default_rng(5)
         p = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        z = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        z = rng.normal(size=(2, 2, 3))
         with Tape() as tape:
-            loss = quantization_loss([p], [z], beta=1.0)
+            loss = quantization_loss(p, z, beta=1.0)
         grads = backward(tape, loss)
         assert p in grads
-        assert z not in grads  # stop-gradient side
+        # the codewords are constants: p's gradient is that of
+        # mean over (levels, rows, dims) of (p - cumsum(z))^2
+        want = 2.0 * (p.data - np.cumsum(z, axis=0)).sum(axis=0) / z.size
+        np.testing.assert_allclose(p.grad, want, rtol=1e-12)
+
+    def test_misaligned_codewords_rejected(self):
+        with pytest.raises(ShapeError):
+            quantization_loss(np.zeros((2, 3)), np.zeros((2, 3)))
+
+    @given(seed=st.integers(0, 2 ** 31 - 1), N=st.integers(1, 4),
+           B=st.integers(1, 6), d=st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_level_form(self, seed, N, B, d):
+        rng = np.random.default_rng(seed)
+        p0, z = rng.normal(size=(B, d)), rng.normal(size=(N, B, d))
+        results = []
+        for form in (quantization_loss, _per_level_commitment):
+            p = Tensor(p0, requires_grad=True)
+            with Tape() as tape:
+                loss = form(p, z, 0.25)
+            backward(tape, loss)
+            results.append((loss.item(), p.grad))
+        (value, grad), (want_value, want_grad) = results
+        assert value == pytest.approx(want_value, rel=1e-12, abs=0)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=0)
 
 
 class TestEMA:

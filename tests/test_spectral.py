@@ -147,6 +147,8 @@ class TestUnitCircleLoss:
             assert loss >= -1e-12
             if abs(scale - 1.0) > 1e-6:
                 assert loss > 0.0
+            # the alignment term divides by |v| once, so it ignores the scale
+            assert abs(unit_circle_loss(pred, tgt, 0.0).item()) < 1e-12
 
     def test_bin_permutation_invariance(self):
         rng = np.random.default_rng(7)
@@ -167,15 +169,6 @@ class TestUnitCircleLoss:
         pred = PhasePrediction(np.zeros(4), np.zeros(4), np.zeros(4))
         with pytest.raises(ShapeError):
             unit_circle_loss(pred, tgt, 0.4)
-
-    def test_squared_denominator_variant(self):
-        # off-circle prediction: corrected form normalizes fully, printed form does not
-        tgt = self._target([0.0])
-        pred = PhasePrediction(np.zeros(1), np.array([0.0]), np.array([2.0]))
-        corrected = unit_circle_loss(pred, tgt, 0.0).item()
-        printed = unit_circle_loss(pred, tgt, 0.0, squared_denominator=True).item()
-        assert abs(corrected - 0.0) < 1e-12      # 2/|2| = 1
-        assert abs(printed - 0.5) < 1e-12        # 2/4 = 0.5
 
 
 class TestTokenizerLoss:

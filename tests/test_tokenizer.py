@@ -14,12 +14,11 @@ from rvqtok.tokenizer import (TokenizerConfig, TokenizerModel,
                               train_step, train_tokenizer)
 
 
-def tiny_config(w=16, S=2, levels=2, K=16, code_dim=8, depth=1, heads=2,
-                dtype="float64"):
+def tiny_config(w=16, S=2, levels=2, K=16, code_dim=8, depth=1, heads=2):
     enc = EncoderConfig(w=w, model_dim=w, S=S, depth=depth, heads=heads,
                         mlp_dim=2 * w, n_electrodes=4, max_slots=8)
     return TokenizerConfig(encoder=enc, levels=levels, codebook_size=K,
-                           code_dim=code_dim, decoder_depth=1, dtype=dtype)
+                           code_dim=code_dim, decoder_depth=1)
 
 
 def tiny_corpus(n=2, channels=2, seconds=4.0, seed=7):
@@ -139,8 +138,8 @@ class TestModel:
 
 
 class TestTrainStep:
-    def _setup(self, dtype="float32"):
-        cfg = tiny_config(dtype=dtype)
+    def _setup(self):
+        cfg = tiny_config()
         model = TokenizerModel(cfg, seed=5)
         recs = tiny_corpus()
         wins = build_windows(recs, 16, 2, val_fraction=0.0)
@@ -253,7 +252,7 @@ class TestEvalPerBand:
 
 class TestCheckpointRoundTrip:
     def test_save_load_save_identical(self, tmp_path):
-        cfg = tiny_config(dtype="float32")
+        cfg = tiny_config()
         model = TokenizerModel(cfg, seed=15)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_tokenizer(model, p1)
@@ -263,13 +262,12 @@ class TestCheckpointRoundTrip:
 
     def test_loaded_model_tokenizes_identically(self, tmp_path):
         recs = tiny_corpus(seconds=4.0)
-        model, _ = train_tokenizer(recs, tiny_config(dtype="float32"), epochs=1,
-                                   batch_size=2)
+        model, _ = train_tokenizer(recs, tiny_config(), epochs=1, batch_size=2)
         path = tmp_path / "tok.ckpt"
         save_tokenizer(model, path)
         loaded = load_tokenizer(path)
         wins = build_windows(recs, 16, 2, val_fraction=0.0)
-        a = loaded.token_indices(wins.patches, wins.channel_idx, wins.slot_idx)
+        a = model.token_indices(wins.patches, wins.channel_idx, wins.slot_idx)
         b = loaded.token_indices(wins.patches, wins.channel_idx, wins.slot_idx)
         assert np.array_equal(a, b)
 
