@@ -5,6 +5,16 @@ initialization, dead-code reinitialization, and the commitment loss.
 Codewords are matched in normalized space but stored and subtracted raw:
 the residual update and the telescoping identity operate on the codeword
 actually selected, not its normalization.
+
+Every nearest-row search (the quantizer and both k-means assignment steps)
+goes through ``nearest_rows``.  It shortlists candidates with one GEMM,
+||x||^2 + ||t||^2 - 2 x.t using each row's actual squared norm, keeps every
+entry within a rounding slack of the row minimum, and re-ranks rows with more
+than one candidate by the difference form ((x - t)^2).sum(-1).  The slack
+exceeds the rounding error of both forms, so the exact minimum is always
+shortlisted, and the re-rank computes the same float64 values a full (B, K, d)
+broadcast would: picks, exact ties and lowest-index tie-breaking included, are
+those of the broadcast, bit for bit, at O(B*K) memory per block.
 """
 
 from __future__ import annotations
@@ -25,6 +35,11 @@ EMA_EPS = 1e-5
 DEAD_CODE_THRESHOLD = 1.0
 #: Rows of recent level inputs kept for dead-code reinitialization.
 RESERVOIR_CAP = 512
+#: Largest (rows x K) distance block ``nearest_rows`` holds at once (16 MB).
+SEARCH_BLOCK = 1 << 21
+#: Shortlist slack, relative to 1 + ||x||^2 + max ||t||^2.  Both distance
+#: forms round within ~(d + 3) float64 epsilons of that scale.
+SEARCH_SLACK = 1e-9
 
 
 def normalize_rows(v: np.ndarray) -> np.ndarray:
@@ -73,26 +88,65 @@ class Codebook:
         return self.entries.shape[1]
 
 
+def nearest_rows(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Index of the nearest ``table`` row to each row of ``x`` (B, d).
+
+    Squared Euclidean distance, ties to the lowest index; the picks equal
+    ``argmin(((x[:, None] - table[None]) ** 2).sum(-1), axis=1)`` exactly.
+    Rows are searched ``SEARCH_BLOCK // K`` at a time: one GEMM shortlists
+    the entries within ``SEARCH_SLACK`` of each row's minimum, and rows with
+    more than one candidate re-rank them by the difference form.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    table = np.asarray(table, dtype=np.float64)
+    tt = np.einsum("ij,ij->i", table, table)
+    xx = np.einsum("ij,ij->i", x, x)
+    slack = SEARCH_SLACK * (1.0 + xx + tt.max())
+    idx = np.empty(x.shape[0], dtype=np.int64)
+    rows = max(1, SEARCH_BLOCK // table.shape[0])
+    for lo in range(0, x.shape[0], rows):
+        hi = min(lo + rows, x.shape[0])
+        d = x[lo:hi] @ table.T
+        d *= -2.0
+        d += xx[lo:hi, None]
+        d += tt
+        best = np.argmin(d, axis=1)
+        idx[lo:hi] = best
+        near = d <= (d[np.arange(hi - lo), best] + slack[lo:hi])[:, None]
+        tied = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
+        if tied.size == 0:
+            continue
+        r, c = np.nonzero(near[tied])  # row-major: each row's columns ascend
+        exact = ((x[lo + tied[r]] - table[c]) ** 2).sum(-1)
+        order = np.lexsort((c, exact, r))
+        first = np.flatnonzero(np.diff(r, prepend=-1))
+        idx[lo + tied] = c[order[first]]
+    return idx
+
+
 def quantize_level(p: np.ndarray, book: Codebook) -> tuple[np.ndarray, np.ndarray]:
     """Nearest codeword per row of p; returns (indices, raw codewords).
 
     Query and codewords are compared unit-scaled; queries that normalize to
     zero fall back to raw Euclidean distance.  Ties break toward the lowest
     index.  Accepts a single vector or a (B, d) batch.
+
+    Both searches run through ``nearest_rows``: a GEMM shortlist of the
+    entries within rounding slack of each row's minimum, re-ranked by the
+    difference form, so the picks are those of the (B, K, d) broadcast
+    ||q^ - v^||^2, including duplicate, collinear and all-zero codewords.
     """
     p = np.asarray(p, dtype=np.float64)
     single = p.ndim == 1
     q = p[None, :] if single else p
     if q.shape[-1] != book.dim:
         raise ShapeError(f"query dim {q.shape[-1]} != codebook dim {book.dim}")
-    qn = normalize_rows(q)
-    vn = normalize_rows(book.entries)
-    d = ((qn[:, None, :] - vn[None, :, :]) ** 2).sum(axis=-1)
     zero_rows = np.linalg.norm(q, axis=-1) == 0.0
+    idx = np.empty(q.shape[0], dtype=np.int64)
+    idx[~zero_rows] = nearest_rows(normalize_rows(q[~zero_rows]),
+                                   normalize_rows(book.entries))
     if zero_rows.any():
-        raw = ((q[zero_rows][:, None, :] - book.entries[None, :, :]) ** 2).sum(axis=-1)
-        d[zero_rows] = raw
-    idx = np.argmin(d, axis=1)
+        idx[zero_rows] = nearest_rows(q[zero_rows], book.entries)
     z = book.entries[idx]
     if single:
         return idx[0], z[0]
@@ -254,6 +308,22 @@ def end_epoch_reinit(book: Codebook, samples: np.ndarray | None = None,
     return int(dead.size)
 
 
+def update_centers(centers: np.ndarray, points: np.ndarray,
+                   assign: np.ndarray) -> None:
+    """Move each centre with members to their mean; empty clusters stay put.
+
+    Members are added to 0.0 in index order, as numpy's mean adds rows for
+    d >= 2, so each centre is bit for bit ``points[assign == j].mean(axis=0)``.
+    A single column numpy sums pairwise; for the unit rows k-means passes
+    (+-1 or 0) both sums are exact.
+    """
+    counts = np.bincount(assign, minlength=centers.shape[0])
+    sums = np.zeros(centers.shape)
+    np.add.at(sums, assign, points)
+    filled = counts > 0
+    centers[filled] = sums[filled] / counts[filled, None]
+
+
 def kmeans_init(book: Codebook, samples: np.ndarray, iters: int = 10,
                 rng: np.random.Generator | None = None) -> Codebook:
     """Seed the codebook by k-means++ plus Lloyd iterations.
@@ -295,14 +365,10 @@ def kmeans_init(book: Codebook, samples: np.ndarray, iters: int = 10,
         centers[j] = sn[pick]
         d2 = np.minimum(d2, ((sn - centers[j]) ** 2).sum(axis=1))
 
-    assign = np.argmin(((sn[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1), axis=1)
+    assign = nearest_rows(sn, centers)
     for _ in range(iters):
-        for j in range(K):
-            members = assign == j
-            if members.any():
-                centers[j] = sn[members].mean(axis=0)
-        new_assign = np.argmin(((sn[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1),
-                               axis=1)
+        update_centers(centers, sn, assign)
+        new_assign = nearest_rows(sn, centers)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign

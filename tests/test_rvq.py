@@ -1,18 +1,22 @@
 """Nearest-neighbor quantization, residual cascades, EMA learning, k-means init."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvqtok import autodiff as ad
+from rvqtok import rvq
 from rvqtok.autodiff import Tape, Tensor, backward
 from rvqtok.errors import ConfigError, ShapeError
 from rvqtok.optim import Parameter
 from rvqtok.rvq import (Codebook, RVQStack, begin_epoch, end_epoch_reinit,
                         ema_update, kmeans_init, kmeans_init_stack,
-                        normalize_rows, quantization_loss, quantize_level,
-                        straight_through)
+                        nearest_rows, normalize_rows, quantization_loss,
+                        quantize_level, straight_through, update_centers)
 
 
 def _stack(model_dim=6, code_dim=4, levels=2, entries=8, seed=0, identity=False):
@@ -70,6 +74,95 @@ class TestQuantizeLevel:
     def test_empty_codebook_rejected(self):
         with pytest.raises(ConfigError):
             Codebook(np.zeros((0, 3)))
+
+
+def _broadcast_nearest(x, table):
+    """The brute-force oracle: argmin over an explicit (B, K, d) tensor."""
+    return np.argmin(((x[:, None, :] - table[None, :, :]) ** 2).sum(axis=-1), axis=1)
+
+
+def _broadcast_quantize(q, entries):
+    """quantize_level's picks from (B, K, d) tensors: normalized distances,
+    raw distances for queries that normalize to zero."""
+    d = ((normalize_rows(q)[:, None, :] - normalize_rows(entries)[None, :, :]) ** 2
+         ).sum(axis=-1)
+    zero = np.linalg.norm(q, axis=-1) == 0.0
+    d[zero] = ((q[zero][:, None, :] - entries[None, :, :]) ** 2).sum(axis=-1)
+    return np.argmin(d, axis=1)
+
+
+@st.composite
+def _search_cases(draw):
+    """A table with duplicate, collinear and all-zero rows; queries that are
+    zero, codewords or multiples of codewords; a search block size."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    K, d, B = draw(st.integers(1, 24)), draw(st.integers(1, 6)), draw(st.integers(0, 40))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    grid = draw(st.booleans())  # small-integer grids tie often
+    table = rng.normal(size=(K, d)) * 2.0
+    x = rng.normal(size=(B, d)) * 2.0
+    if grid:
+        table, x = np.round(table), np.round(x)
+    table, x = table * scale, x * scale
+    for kind in draw(st.lists(st.sampled_from(["dup", "collinear", "zero"]),
+                              max_size=6)):
+        i, j = rng.integers(0, K, size=2)
+        table[i] = {"dup": table[j], "collinear": table[j] * rng.uniform(0.25, 4.0),
+                    "zero": 0.0}[kind]
+    for r in range(B):
+        kind = draw(st.sampled_from(["free", "zero", "codeword", "multiple"]))
+        j = rng.integers(0, K)
+        if kind == "zero":
+            x[r] = 0.0
+        elif kind == "codeword":
+            x[r] = table[j]
+        elif kind == "multiple":
+            x[r] = table[j] * draw(st.sampled_from([0.5, 2.0, 3.0]))
+    block = draw(st.integers(1, 64))  # SEARCH_BLOCK: rows per block = block // K
+    return x, table, block
+
+
+class TestNearestRows:
+    @given(_search_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_broadcast_oracle(self, case):
+        x, table, block = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rvq, "SEARCH_BLOCK", block)
+            got = nearest_rows(x, table)
+        np.testing.assert_array_equal(got, _broadcast_nearest(x, table))
+
+    @given(_search_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_quantize_level_matches_broadcast_oracle(self, case):
+        q, table, block = case
+        book = Codebook(table)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rvq, "SEARCH_BLOCK", block)
+            idx, z = quantize_level(q, book)
+        want = _broadcast_quantize(q, table)
+        np.testing.assert_array_equal(idx, want)
+        np.testing.assert_array_equal(z, table[want])
+
+    def test_batch_crosses_default_block(self):
+        rng = np.random.default_rng(11)
+        table = np.round(rng.normal(size=(4096, 2)) * 3.0)  # many exact duplicates
+        x = np.round(rng.normal(size=(rvq.SEARCH_BLOCK // 4096 + 100, 2)) * 3.0)
+        np.testing.assert_array_equal(nearest_rows(x, table),
+                                      _broadcast_nearest(x, table))
+
+    def test_paper_batch_memory_bounded(self):
+        # 32 windows x 64 patches against a K=8192, d_c=128 book: a (B, K, d)
+        # tensor would be 16 GiB and one (B, K) distance matrix is 128 MB
+        rng = np.random.default_rng(12)
+        x, table = rng.normal(size=(2048, 128)), rng.normal(size=(8192, 128))
+        tracemalloc.start()
+        try:
+            nearest_rows(x, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
 
 class TestRVQQuantize:
@@ -260,7 +353,96 @@ class TestEMA:
             ema_update(book, np.zeros(1, dtype=int), np.zeros((1, 2)), decay=1.5)
 
 
+def _broadcast_kmeans_init(book, samples, iters, rng):
+    """kmeans_init with (n, K, d) broadcast assignments and a per-cluster
+    centre loop."""
+    K = book.K
+    distinct = np.unique(samples, axis=0)
+    if distinct.shape[0] < K:
+        deficit = K - distinct.shape[0]
+        picks = rng.integers(0, distinct.shape[0], size=deficit)
+        jitter = 1e-4 * rng.standard_normal((deficit, book.dim))
+        samples = np.vstack([samples, distinct[picks] + jitter])
+    sn = normalize_rows(samples)
+    centers = np.empty((K, book.dim))
+    centers[0] = sn[rng.integers(0, sn.shape[0])]
+    d2 = ((sn - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, K):
+        total = d2.sum()
+        if total <= 0:
+            pick = rng.integers(0, sn.shape[0])
+        else:
+            pick = rng.choice(sn.shape[0], p=d2 / total)
+        centers[j] = sn[pick]
+        d2 = np.minimum(d2, ((sn - centers[j]) ** 2).sum(axis=1))
+    assign = _broadcast_nearest(sn, centers)
+    for _ in range(iters):
+        for j in range(K):
+            members = assign == j
+            if members.any():
+                centers[j] = sn[members].mean(axis=0)
+        new_assign = _broadcast_nearest(sn, centers)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    counts = np.bincount(assign, minlength=K).astype(np.float64)
+    raw_sums = np.zeros((K, book.dim))
+    np.add.at(raw_sums, assign, samples)
+    for j in range(K):
+        if counts[j] > 0:
+            book.entries[j] = raw_sums[j] / counts[j]
+        else:
+            book.entries[j] = samples[rng.integers(0, samples.shape[0])]
+            counts[j] = 1.0
+            raw_sums[j] = book.entries[j]
+    book.ema_size = counts
+    book.ema_sum = raw_sums
+    return book
+
+
 class TestKMeansInit:
+    @given(seed=st.integers(0, 2 ** 31 - 1), K=st.integers(1, 12),
+           d=st.integers(1, 5), extra=st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_update_centers_matches_member_loop(self, seed, K, d, extra):
+        rng = np.random.default_rng(seed)
+        n = K + extra
+        points = normalize_rows(rng.normal(size=(n, d)))
+        points[rng.random(n) < 0.2] = 0.0
+        if d > 1:
+            points[:, 0] = -0.0  # numpy's mean turns a column of -0.0 into 0.0
+        assign = rng.integers(0, max(1, K // 2 + 1), size=n)  # empty clusters
+        centers = rng.normal(size=(K, d))
+        want = centers.copy()
+        for j in range(K):
+            members = assign == j
+            if members.any():
+                want[j] = points[members].mean(axis=0)
+        update_centers(centers, points, assign)
+        assert centers.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_matches_broadcast_form(self, seed, padded):
+        rng = np.random.default_rng(seed)
+        K, d = 16, 4
+        if padded:  # fewer distinct samples than codewords
+            samples = np.repeat(rng.normal(size=(6, d)), 4, axis=0)
+        else:  # duplicates and clumps leave clusters empty
+            samples = np.vstack([rng.normal(size=(24, d)),
+                                 np.repeat(rng.normal(size=(3, d)), 8, axis=0)])
+        books = []
+        for init in (kmeans_init, _broadcast_kmeans_init):
+            book = Codebook(np.zeros((K, d)) + 0.5)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                init(book, samples, iters=10, rng=np.random.default_rng(seed))
+            books.append(book)
+        got, want = books
+        for field in ("entries", "ema_size", "ema_sum"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+
     def test_recovers_separated_cluster_means(self):
         rng = np.random.default_rng(5)
         a = np.array([10.0, 0.0]) + 0.01 * rng.normal(size=(40, 2))
