@@ -5,16 +5,32 @@ then concatenated little-endian float32 payloads in header order.  The
 header carries the kind tag, a config snapshot, and the name/shape manifest
 of every array.
 
+A checkpoint stores what inference reads: every parameter and, for a
+tokenizer, every codebook's entries.  Training state (EMA cluster sizes and
+sums, AdamW moments and step counts, usage counts, reservoirs) is not
+stored; a model trained after loading starts that state afresh.  Files
+written before the EMA arrays were dropped still load: arrays the runtime
+has no place for are skipped.
+
 Models run in float64 and a checkpoint stores each value's float32
 rounding, so save -> load rounds.  Loading materializes exactly the stored
 f32 values, so a save -> load -> save cycle is byte-identical.
+
+``restore`` loads a model without a second copy of it: the model is built
+from the header with every array zeroed (``ZeroDraws`` stands in for the
+random generator), then each payload array is read straight into its
+float64 destination, one array in flight at a time.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -22,6 +38,24 @@ from .errors import CompatibilityError, ParseError
 
 MAGIC = b"RVQTCKPT"
 FORMAT_VERSION = 1
+
+Model = TypeVar("Model")
+
+
+class ZeroDraws:
+    """Stands in for ``np.random.Generator`` when a model is built only to be
+    filled from a checkpoint: every draw is zeros of the requested size, so
+    building costs no random draws and large arrays take no memory until the
+    checkpoint writes them."""
+
+    def normal(self, loc=0.0, scale=1.0, size=None) -> np.ndarray:
+        return np.zeros(size)
+
+    def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
+        return np.zeros(size)
+
+    def standard_normal(self, size=None) -> np.ndarray:
+        return np.zeros(size)
 
 
 def save_arrays(path: str | Path, kind: str, config: dict,
@@ -39,34 +73,106 @@ def save_arrays(path: str | Path, kind: str, config: dict,
             fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
 
 
-def load_arrays(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]:
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"checkpoint not found: {path}")
-    with open(path, "rb") as fh:
+def _nbytes(shape: tuple) -> int:
+    return 4 * math.prod(shape)
+
+
+def _read(fh, n: int, path: Path, what: str) -> bytes:
+    buf = fh.read(n)
+    if len(buf) != n:
+        raise ParseError(f"{path}: truncated {what}")
+    return buf
+
+
+@contextmanager
+def _payload(path: Path):
+    """Open a checkpoint and check its framing before any payload is read.
+
+    Yields the file positioned at the first payload byte, the header's kind
+    and config, and the manifest as (name, shape) pairs.  A file that cannot
+    be read, bad magic, a corrupt header and a payload shorter or longer
+    than the manifest declares raise a ParseError naming the path; another
+    format version raises a CompatibilityError.
+    """
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ParseError(f"cannot read checkpoint {path}: "
+                         f"{exc.strerror or exc}") from None
+    with fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise ParseError(f"{path}: not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read(fh, 4, path, "version"))
         if version != FORMAT_VERSION:
             raise CompatibilityError(
                 f"{path}: format_version {version} != supported {FORMAT_VERSION}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
+        (hlen,) = struct.unpack("<Q", _read(fh, 8, path, "header length"))
         try:
-            header = json.loads(fh.read(hlen))
-        except json.JSONDecodeError as exc:
+            header = json.loads(_read(fh, hlen, path, "header"))
+            kind, config = header["kind"], header["config"]
+            manifest = [(item["name"], tuple(item["shape"]))
+                        for item in header["arrays"]]
+        except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
+                TypeError) as exc:
             raise ParseError(f"{path}: corrupt header ({exc})") from None
-        arrays: dict[str, np.ndarray] = {}
-        for item in header["arrays"]:
-            shape = tuple(item["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(4 * count)
-            if len(buf) != 4 * count:
-                raise ParseError(f"{path}: truncated payload at array {item['name']!r}")
-            arrays[item["name"]] = np.frombuffer(buf, dtype="<f4").reshape(shape).copy()
-        trailing = fh.read(1)
-        if trailing:
+        for name, shape in manifest:
+            if not all(isinstance(n, int) and n >= 0 for n in shape):
+                raise ParseError(f"{path}: corrupt header (array {name!r} "
+                                 f"has shape {list(shape)})")
+        available = os.fstat(fh.fileno()).st_size - fh.tell()
+        for name, shape in manifest:
+            available -= _nbytes(shape)
+            if available < 0:
+                raise ParseError(f"{path}: truncated payload at array {name!r}")
+        if available:
             raise ParseError(f"{path}: trailing bytes after declared payload")
-    return header["kind"], header["config"], arrays
+        yield fh, kind, config, manifest
+
+
+def _next_array(fh, path: Path, name: str, shape: tuple) -> np.ndarray:
+    """The next stored array as a read-only float32 view of its bytes."""
+    buf = _read(fh, _nbytes(shape), path, f"payload at array {name!r}")
+    return np.frombuffer(buf, dtype="<f4").reshape(shape)
+
+
+def load_arrays(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]:
+    """Every stored array as float32, with the header's kind and config."""
+    path = Path(path)
+    with _payload(path) as (fh, kind, config, manifest):
+        arrays = {name: _next_array(fh, path, name, shape).copy()
+                  for name, shape in manifest}
+    return kind, config, arrays
+
+
+def restore(path: str | Path, kind: str,
+            build: Callable[[dict], tuple[Model, dict[str, np.ndarray]]]) -> Model:
+    """Load a checkpoint of ``kind`` into a model built from its config.
+
+    ``build(config)`` returns the model and its float64 destination arrays
+    by stored name.  Every destination must be stored with its shape, or a
+    CompatibilityError names it; each stored array is then converted into
+    its destination in place, and stored arrays without one are skipped.
+    """
+    path = Path(path)
+    with _payload(path) as (fh, stored_kind, config, manifest):
+        if stored_kind != kind:
+            raise CompatibilityError(
+                f"checkpoint kind {stored_kind!r}, expected {kind!r}")
+        model, dests = build(config)
+        shapes = dict(manifest)
+        for name, dest in dests.items():
+            if name not in shapes:
+                raise CompatibilityError(f"checkpoint missing array {name!r}")
+            if shapes[name] != dest.shape:
+                raise CompatibilityError(
+                    f"checkpoint array {name!r} has shape {shapes[name]}, "
+                    f"runtime expects {dest.shape}")
+        for name, shape in manifest:
+            if name in dests:
+                dests[name][...] = _next_array(fh, path, name, shape)
+            else:
+                fh.seek(_nbytes(shape), os.SEEK_CUR)
+    return model
 
 
 def require_field(config: dict, field: str, expected) -> None:
@@ -76,20 +182,3 @@ def require_field(config: dict, field: str, expected) -> None:
     if config[field] != expected:
         raise CompatibilityError(
             f"checkpoint field {field!r} is {config[field]!r}, runtime expects {expected!r}")
-
-
-def restore_params(params, arrays: dict[str, np.ndarray]) -> None:
-    """Load each parameter from its ``param.<name>`` array as float64.
-
-    A missing array or a shape that differs from the runtime parameter
-    raises a CompatibilityError naming the parameter.
-    """
-    for p in params:
-        key = f"param.{p.name}"
-        if key not in arrays:
-            raise CompatibilityError(f"checkpoint missing parameter {p.name!r}")
-        if tuple(arrays[key].shape) != p.data.shape:
-            raise CompatibilityError(
-                f"checkpoint field {p.name!r} has shape {arrays[key].shape}, "
-                f"runtime expects {p.data.shape}")
-        p.tensor.data = arrays[key].astype(np.float64)

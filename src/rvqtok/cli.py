@@ -1,8 +1,9 @@
 """Command-line entry point: run orchestration, CSV reports, run manifests.
 
-Exit status: 0 success, 1 validation/configuration error, 2 numeric failure
-or running out of memory.
-Partially written outputs are removed when a command fails.
+Exit status: 0 success, 1 validation/configuration error or a file that
+cannot be read or written, 2 numeric failure or running out of memory.
+Partially written outputs, and the directories a run made for them, are
+removed when a command fails.
 """
 
 from __future__ import annotations
@@ -97,6 +98,15 @@ def _build_parser() -> argparse.ArgumentParser:
 # helpers
 
 
+def _make_dirs(path: Path) -> list[Path]:
+    """Create ``path`` and its missing parents; return those made, outermost
+    first."""
+    missing = [p for p in (path, *path.parents) if not p.exists()][::-1]
+    for p in missing:
+        p.mkdir()
+    return missing
+
+
 class _Run:
     """Tracks outputs for the manifest and removes them on failure."""
 
@@ -106,11 +116,11 @@ class _Run:
         self.out_dir = out_dir
         self.outputs: list[Path] = []
         self.started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        out_dir.mkdir(parents=True, exist_ok=True)
+        self.made_dirs = _make_dirs(out_dir)
 
     def path(self, name: str) -> Path:
         p = self.out_dir / name
-        p.parent.mkdir(parents=True, exist_ok=True)
+        self.made_dirs += _make_dirs(p.parent)
         self.outputs.append(p)
         return p
 
@@ -126,6 +136,9 @@ class _Run:
         for p in self.outputs:
             if p.exists():
                 p.unlink()
+        for d in reversed(self.made_dirs):
+            if d.is_dir() and not any(d.iterdir()):
+                d.rmdir()
 
     def finish(self) -> None:
         manifest = {
@@ -375,14 +388,15 @@ def cmd(argv) -> int:
         if args.out_dir:
             cfg.values["run"]["out_dir"] = args.out_dir
         run = _Run(cfg, args.command, Path(cfg.get("run", "out_dir")))
-    except (ConfigError, ParseError) as exc:
+    except (ConfigError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
         status = _BODIES[args.command](run, args)
         run.finish()
         return status
-    except (ConfigError, ParseError, CompatibilityError, ShapeError) as exc:
+    except (ConfigError, ParseError, CompatibilityError, ShapeError,
+            OSError) as exc:
         run.cleanup()
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,15 +12,20 @@ from .errors import ShapeError
 
 
 class Parameter:
-    """A named learnable tensor with its optimizer state."""
+    """A named learnable tensor with its optimizer state.
+
+    The AdamW moments ``m`` and ``v`` are None until the first
+    ``adamw_step`` starts them at zero, so a model that is only run
+    (loaded for inference, say) holds no optimizer state.
+    """
 
     __slots__ = ("tensor", "name", "m", "v", "step")
 
     def __init__(self, data, name: str):
         self.tensor = Tensor(data, requires_grad=True)
         self.name = name
-        self.m = np.zeros_like(self.tensor.data)
-        self.v = np.zeros_like(self.tensor.data)
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
         self.step = 0
 
     @property
@@ -47,6 +52,8 @@ def adamw_step(params: Iterable[Parameter],
             g = np.zeros_like(p.data)
         if g.shape != p.data.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter {p.name} shape {p.data.shape}")
+        if p.m is None:
+            p.m, p.v = np.zeros_like(p.data), np.zeros_like(p.data)
         p.step += 1
         p.m = b1 * p.m + (1.0 - b1) * g
         p.v = b2 * p.v + (1.0 - b2) * g * g

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .checkpoint import load_arrays, require_field, restore_params, save_arrays
+from .checkpoint import ZeroDraws, require_field, restore, save_arrays
 from .encoder import (EncoderConfig, Linear, MultiScaleEncoder, encoder_from_snapshot,
                       encoder_snapshot)
 from .errors import CompatibilityError, ConfigError, NumericError
@@ -81,11 +81,15 @@ class PretrainConfig:
 
 
 class BackboneModel:
-    """Fresh multi-scale encoder plus per-(branch, level) token classifiers."""
+    """Fresh multi-scale encoder plus per-(branch, level) token classifiers.
 
-    def __init__(self, cfg: PretrainConfig, seed: int = 0):
+    Weights are drawn from ``seed``, or from ``rng`` when one is given (a
+    checkpoint load passes ``ZeroDraws``).
+    """
+
+    def __init__(self, cfg: PretrainConfig, seed: int = 0, rng=None):
         self.cfg = cfg
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if rng is None else rng
         enc = cfg.encoder
         self.encoder = MultiScaleEncoder(enc, rng, name="backbone")
         self.mask_token = Parameter(0.02 * rng.standard_normal(enc.w), "mask_token")
@@ -405,21 +409,24 @@ def _backbone_snapshot(cfg: PretrainConfig) -> dict:
             "slots_per_window": cfg.slots_per_window}
 
 
+def _stored_arrays(backbone: BackboneModel) -> dict[str, np.ndarray]:
+    return {f"param.{p.name}": p.data for p in backbone.params()}
+
+
 def save_backbone(backbone: BackboneModel, path) -> None:
-    arrays = {f"param.{p.name}": p.data for p in backbone.params()}
-    save_arrays(path, "backbone", _backbone_snapshot(backbone.cfg), arrays)
+    save_arrays(path, "backbone", _backbone_snapshot(backbone.cfg),
+                _stored_arrays(backbone))
 
 
 def load_backbone(path) -> BackboneModel:
-    kind, snap, arrays = load_arrays(path)
-    if kind != "backbone":
-        raise CompatibilityError(f"checkpoint kind {kind!r}, expected 'backbone'")
-    if "slots_per_window" not in snap:
-        raise CompatibilityError("checkpoint missing config field 'slots_per_window'")
-    cfg = PretrainConfig(encoder=encoder_from_snapshot(snap), levels=snap["levels"],
-                         codebook_size=snap["codebook_size"],
-                         mask_ratio=snap["mask_ratio"],
-                         slots_per_window=snap["slots_per_window"])
-    backbone = BackboneModel(cfg, seed=0)
-    restore_params(backbone.params(), arrays)
-    return backbone
+    def build(snap: dict):
+        if "slots_per_window" not in snap:
+            raise CompatibilityError("checkpoint missing config field 'slots_per_window'")
+        cfg = PretrainConfig(encoder=encoder_from_snapshot(snap), levels=snap["levels"],
+                             codebook_size=snap["codebook_size"],
+                             mask_ratio=snap["mask_ratio"],
+                             slots_per_window=snap["slots_per_window"])
+        backbone = BackboneModel(cfg, rng=ZeroDraws())
+        return backbone, _stored_arrays(backbone)
+
+    return restore(path, "backbone", build)

@@ -15,6 +15,16 @@ exceeds the rounding error of both forms, so the exact minimum is always
 shortlisted, and the re-rank computes the same float64 values a full (B, K, d)
 broadcast would: picks, exact ties and lowest-index tie-breaking included, are
 those of the broadcast, bit for bit, at O(B*K) memory per block.
+
+The quantizer searches the raw book: the GEMM's columns are scaled by
+1/||v||, and only shortlisted codewords are normalized (by
+``normalize_rows``, as the broadcast would) for the re-rank, so a search
+holds no normalized copy of the book.
+
+A codebook's EMA sums are training state and start at the first EMA update
+or dead-code reset (or come from k-means); a book that is only searched,
+such as one loaded from a checkpoint, holds its entries and K-length
+counters only.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ class Codebook:
 
     entries: np.ndarray                 # (K, d_c)
     ema_size: np.ndarray = None         # (K,)
-    ema_sum: np.ndarray = None          # (K, d_c)
+    ema_sum: np.ndarray = None          # (K, d_c); None until training starts it
     usage: np.ndarray = None            # assignments since epoch start
     epoch_peak_size: np.ndarray = None  # max EMA size seen this epoch
     reservoir: np.ndarray = None        # recent level inputs, for reinit
@@ -70,8 +80,6 @@ class Codebook:
         K = self.entries.shape[0]
         if self.ema_size is None:
             self.ema_size = np.zeros(K)
-        if self.ema_sum is None:
-            self.ema_sum = self.entries.copy()
         if self.usage is None:
             self.usage = np.zeros(K, dtype=np.int64)
         if self.epoch_peak_size is None:
@@ -87,19 +95,38 @@ class Codebook:
     def dim(self) -> int:
         return self.entries.shape[1]
 
+    def start_ema(self) -> np.ndarray:
+        """The EMA sums, started as a copy of the entries on first use."""
+        if self.ema_sum is None:
+            self.ema_sum = self.entries.copy()
+        return self.ema_sum
 
-def nearest_rows(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+
+def nearest_rows(x: np.ndarray, table: np.ndarray,
+                 unit_table: bool = False) -> np.ndarray:
     """Index of the nearest ``table`` row to each row of ``x`` (B, d).
 
     Squared Euclidean distance, ties to the lowest index; the picks equal
-    ``argmin(((x[:, None] - table[None]) ** 2).sum(-1), axis=1)`` exactly.
+    ``argmin(((x[:, None] - table[None]) ** 2).sum(-1), axis=1)`` exactly,
+    with ``normalize_rows(table)`` in place of ``table`` if ``unit_table``.
     Rows are searched ``SEARCH_BLOCK // K`` at a time: one GEMM shortlists
     the entries within ``SEARCH_SLACK`` of each row's minimum, and rows with
     more than one candidate re-rank them by the difference form.
+
+    ``unit_table`` never builds the normalized table.  The GEMM's columns
+    are scaled by 1/||t|| and each unit row's squared norm is taken as 1,
+    both within a few epsilons where ||t||^2 is a well-scaled normal number.
+    Rows outside that range (zero, or a squared norm that underflows or
+    overflows) skip the shortlist and always go to the re-rank.
     """
     x = np.asarray(x, dtype=np.float64)
     table = np.asarray(table, dtype=np.float64)
     tt = np.einsum("ij,ij->i", table, table)
+    odd = np.zeros(tt.shape, dtype=bool)
+    if unit_table:
+        odd = ~((tt > 1e-280) & (tt < 1e280))
+        scale = 1.0 / np.sqrt(np.where(odd, 1.0, tt))
+        tt = (~odd).astype(np.float64)
     xx = np.einsum("ij,ij->i", x, x)
     slack = SEARCH_SLACK * (1.0 + xx + tt.max())
     idx = np.empty(x.shape[0], dtype=np.int64)
@@ -107,17 +134,22 @@ def nearest_rows(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     for lo in range(0, x.shape[0], rows):
         hi = min(lo + rows, x.shape[0])
         d = x[lo:hi] @ table.T
+        if unit_table:
+            d *= scale
         d *= -2.0
         d += xx[lo:hi, None]
         d += tt
+        d[:, odd] = np.inf
         best = np.argmin(d, axis=1)
         idx[lo:hi] = best
         near = d <= (d[np.arange(hi - lo), best] + slack[lo:hi])[:, None]
+        near[:, odd] = True
         tied = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
         if tied.size == 0:
             continue
         r, c = np.nonzero(near[tied])  # row-major: each row's columns ascend
-        exact = ((x[lo + tied[r]] - table[c]) ** 2).sum(-1)
+        cand = normalize_rows(table[c]) if unit_table else table[c]
+        exact = ((x[lo + tied[r]] - cand) ** 2).sum(-1)
         order = np.lexsort((c, exact, r))
         first = np.flatnonzero(np.diff(r, prepend=-1))
         idx[lo + tied] = c[order[first]]
@@ -131,10 +163,11 @@ def quantize_level(p: np.ndarray, book: Codebook) -> tuple[np.ndarray, np.ndarra
     zero fall back to raw Euclidean distance.  Ties break toward the lowest
     index.  Accepts a single vector or a (B, d) batch.
 
-    Both searches run through ``nearest_rows``: a GEMM shortlist of the
-    entries within rounding slack of each row's minimum, re-ranked by the
-    difference form, so the picks are those of the (B, K, d) broadcast
-    ||q^ - v^||^2, including duplicate, collinear and all-zero codewords.
+    Both searches run through ``nearest_rows`` on the raw book: a GEMM
+    shortlist of the entries within rounding slack of each row's minimum,
+    re-ranked by the difference form, so the picks are those of the
+    (B, K, d) broadcast ||q^ - v^||^2, including duplicate, collinear and
+    all-zero codewords.
     """
     p = np.asarray(p, dtype=np.float64)
     single = p.ndim == 1
@@ -143,8 +176,8 @@ def quantize_level(p: np.ndarray, book: Codebook) -> tuple[np.ndarray, np.ndarra
         raise ShapeError(f"query dim {q.shape[-1]} != codebook dim {book.dim}")
     zero_rows = np.linalg.norm(q, axis=-1) == 0.0
     idx = np.empty(q.shape[0], dtype=np.int64)
-    idx[~zero_rows] = nearest_rows(normalize_rows(q[~zero_rows]),
-                                   normalize_rows(book.entries))
+    idx[~zero_rows] = nearest_rows(normalize_rows(q[~zero_rows]), book.entries,
+                                   unit_table=True)
     if zero_rows.any():
         idx[zero_rows] = nearest_rows(q[zero_rows], book.entries)
     z = book.entries[idx]
@@ -174,6 +207,7 @@ class RVQStack:
     codebooks: list[Codebook]
     down_proj: Parameter
     up_proj: Parameter
+    name: str = "rvq"
 
     def __post_init__(self):
         if not self.codebooks:
@@ -202,7 +236,7 @@ class RVQStack:
                          f"{name}.down_proj")
         up = Parameter(rng.uniform(-limit, limit, size=(code_dim, model_dim)),
                        f"{name}.up_proj")
-        return cls(books, down, up)
+        return cls(books, down, up, name)
 
     def quantize_codes(self, p_code: np.ndarray,
                        forced_indices: np.ndarray | None = None) -> TokenAssignment:
@@ -264,10 +298,10 @@ def ema_update(book: Codebook, indices: np.ndarray, inputs: np.ndarray,
     inputs = np.asarray(inputs, dtype=np.float64)
     K = book.K
     counts = np.bincount(indices, minlength=K).astype(np.float64)
-    sums = np.zeros_like(book.ema_sum)
+    sums = np.zeros_like(book.entries)
     np.add.at(sums, indices, inputs)
     book.ema_size = decay * book.ema_size + (1.0 - decay) * counts
-    book.ema_sum = decay * book.ema_sum + (1.0 - decay) * sums
+    book.ema_sum = decay * book.start_ema() + (1.0 - decay) * sums
     n = book.ema_size.sum()
     if n > 0:
         smoothed = (book.ema_size + EMA_EPS) / (n + K * EMA_EPS) * n
@@ -302,8 +336,8 @@ def end_epoch_reinit(book: Codebook, samples: np.ndarray | None = None,
     if dead.size == 0 or len(samples) == 0:
         return 0
     picks = rng.integers(0, len(samples), size=dead.size)
+    book.start_ema()[dead] = samples[picks]
     book.entries[dead] = samples[picks]
-    book.ema_sum[dead] = samples[picks]
     book.ema_size[dead] = 1.0
     return int(dead.size)
 
@@ -325,13 +359,15 @@ def update_centers(centers: np.ndarray, points: np.ndarray,
 
 
 def kmeans_init(book: Codebook, samples: np.ndarray, iters: int = 10,
-                rng: np.random.Generator | None = None) -> Codebook:
+                rng: np.random.Generator | None = None,
+                label: str = "") -> Codebook:
     """Seed the codebook by k-means++ plus Lloyd iterations.
 
     Cluster geometry lives in normalized space (matching the quantizer's
     metric); the stored codewords are the raw means of each cluster's
     members, so a book with K == n distinct samples reproduces the samples.
-    Fewer than K distinct samples pads with perturbed duplicates and warns.
+    Fewer than K distinct samples pads with perturbed duplicates and warns;
+    ``label`` names the book in the warning.
     """
     rng = rng or np.random.default_rng(0)
     samples = np.asarray(samples, dtype=np.float64)
@@ -341,13 +377,12 @@ def kmeans_init(book: Codebook, samples: np.ndarray, iters: int = 10,
     if samples.shape[0] < K:
         raise ConfigError(f"need at least {K} samples, got {samples.shape[0]}")
     distinct = np.unique(samples, axis=0)
-    padded = False
-    if distinct.shape[0] < K:
-        deficit = K - distinct.shape[0]
-        picks = rng.integers(0, distinct.shape[0], size=deficit)
+    n_distinct = distinct.shape[0]
+    if n_distinct < K:
+        deficit = K - n_distinct
+        picks = rng.integers(0, n_distinct, size=deficit)
         jitter = 1e-4 * rng.standard_normal((deficit, book.dim))
         samples = np.vstack([samples, distinct[picks] + jitter])
-        padded = True
 
     sn = normalize_rows(samples)
 
@@ -386,9 +421,11 @@ def kmeans_init(book: Codebook, samples: np.ndarray, iters: int = 10,
             raw_sums[j] = book.entries[j]
     book.ema_size = counts.copy()
     book.ema_sum = raw_sums.copy()
-    if padded:
-        warnings.warn("kmeans_init: fewer distinct samples than codewords; "
-                      "padded with perturbed duplicates", stacklevel=2)
+    if n_distinct < K:
+        where = f" ({label})" if label else ""
+        warnings.warn(f"kmeans_init{where}: {n_distinct} distinct samples for "
+                      f"{K} codewords; padded with perturbed duplicates",
+                      stacklevel=2)
     return book
 
 
@@ -396,7 +433,8 @@ def kmeans_init_stack(stack: RVQStack, p_code: np.ndarray, iters: int = 10,
                       rng: np.random.Generator | None = None) -> None:
     """Initialize every level on the residual distribution it will see."""
     resid = np.asarray(p_code, dtype=np.float64).copy()
-    for book in stack.codebooks:
-        kmeans_init(book, resid, iters=iters, rng=rng)
+    for i, book in enumerate(stack.codebooks):
+        kmeans_init(book, resid, iters=iters, rng=rng,
+                    label=f"stack {stack.name}, level {i}")
         _, z = quantize_level(resid, book)
         resid = resid - z

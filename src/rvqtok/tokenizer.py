@@ -17,10 +17,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .checkpoint import load_arrays, require_field, restore_params, save_arrays
+from .checkpoint import ZeroDraws, require_field, restore, save_arrays
 from .encoder import (EncoderConfig, Linear, MultiScaleEncoder, TransformerStack,
                       encoder_from_snapshot, encoder_snapshot)
-from .errors import CompatibilityError, ConfigError, NumericError
+from .errors import ConfigError, NumericError
 from .optim import Parameter, adamw_step, clip_global_norm, cosine_warmup_lr
 from .rvq import (RVQStack, TokenAssignment, begin_epoch, end_epoch_reinit,
                   ema_update, kmeans_init_stack, quantization_loss)
@@ -56,11 +56,15 @@ class TokenizerConfig:
 
 
 class TokenizerModel:
-    """Encoder, one RVQ stack per branch, decoder transformer, three heads."""
+    """Encoder, one RVQ stack per branch, decoder transformer, three heads.
 
-    def __init__(self, cfg: TokenizerConfig, seed: int = 0):
+    Weights and codebooks are drawn from ``seed``, or from ``rng`` when one
+    is given (a checkpoint load passes ``ZeroDraws``).
+    """
+
+    def __init__(self, cfg: TokenizerConfig, seed: int = 0, rng=None):
         self.cfg = cfg
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if rng is None else rng
         enc = cfg.encoder
         self.encoder = MultiScaleEncoder(enc, rng)
         self.stacks = [RVQStack.create(enc.model_dim, cfg.code_dim, cfg.levels,
@@ -475,33 +479,29 @@ def config_from_snapshot(snap: dict) -> TokenizerConfig:
                            fusion=snap["fusion"])
 
 
-def save_tokenizer(model: TokenizerModel, path) -> None:
-    arrays: dict[str, np.ndarray] = {}
-    for p in model.params():
-        arrays[f"param.{p.name}"] = p.data
+def _stored_arrays(model: TokenizerModel) -> dict[str, np.ndarray]:
+    """What a tokenizer checkpoint stores: parameters, then codebook entries."""
+    arrays = {f"param.{p.name}": p.data for p in model.params()}
     for s, stack in enumerate(model.stacks):
         for i, book in enumerate(stack.codebooks):
             arrays[f"codebook.{s}.{i}.entries"] = book.entries
-            arrays[f"codebook.{s}.{i}.ema_size"] = book.ema_size
-            arrays[f"codebook.{s}.{i}.ema_sum"] = book.ema_sum
-    save_arrays(path, "tokenizer", _config_snapshot(model.cfg), arrays)
+    return arrays
+
+
+def save_tokenizer(model: TokenizerModel, path) -> None:
+    save_arrays(path, "tokenizer", _config_snapshot(model.cfg),
+                _stored_arrays(model))
 
 
 def load_tokenizer(path, expected: TokenizerConfig | None = None) -> TokenizerModel:
-    kind, snap, arrays = load_arrays(path)
-    if kind != "tokenizer":
-        raise CompatibilityError(f"checkpoint kind {kind!r}, expected 'tokenizer'")
-    if expected is not None:
-        want = _config_snapshot(expected)
-        for fieldname in ("w", "S", "levels", "codebook_size", "code_dim",
-                          "model_dim"):
-            require_field(snap, fieldname, want[fieldname])
-    cfg = config_from_snapshot(snap)
-    model = TokenizerModel(cfg, seed=0)
-    restore_params(model.params(), arrays)
-    for s, stack in enumerate(model.stacks):
-        for i, book in enumerate(stack.codebooks):
-            book.entries = arrays[f"codebook.{s}.{i}.entries"].astype(np.float64)
-            book.ema_size = arrays[f"codebook.{s}.{i}.ema_size"].astype(np.float64)
-            book.ema_sum = arrays[f"codebook.{s}.{i}.ema_sum"].astype(np.float64)
-    return model
+    """A tokenizer ready for inference; its EMA state starts when training does."""
+    def build(snap: dict):
+        if expected is not None:
+            want = _config_snapshot(expected)
+            for fieldname in ("w", "S", "levels", "codebook_size", "code_dim",
+                              "model_dim"):
+                require_field(snap, fieldname, want[fieldname])
+        model = TokenizerModel(config_from_snapshot(snap), rng=ZeroDraws())
+        return model, _stored_arrays(model)
+
+    return restore(path, "tokenizer", build)

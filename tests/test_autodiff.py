@@ -380,6 +380,19 @@ def test_adamw_single_step_matches_hand_formula():
     assert abs(p.data[0] - expect) < 1e-12
 
 
+def test_adamw_moments_start_at_first_step_bit_for_bit():
+    lazy, eager = (Parameter(np.array([0.5, -1.5, 2.0]), "p") for _ in range(2))
+    assert lazy.m is None and lazy.v is None
+    eager.m, eager.v = np.zeros(3), np.zeros(3)
+    rng = np.random.default_rng(4)
+    for grad in rng.normal(size=(3, 3)):
+        for p in (lazy, eager):
+            p.tensor.grad = grad
+            adamw_step([p], lr=1e-2, weight_decay=0.1)
+    for field in ("m", "v", "data"):
+        assert getattr(lazy, field).tobytes() == getattr(eager, field).tobytes()
+
+
 def test_adamw_decoupled_decay():
     p = Parameter(np.array([2.0]), "p")
     p.tensor.grad = np.array([0.0])

@@ -1,4 +1,6 @@
-"""The binary checkpoint container."""
+"""The binary checkpoint container, and tokenizer and backbone checkpoints."""
+
+import struct
 
 import numpy as np
 import pytest
@@ -6,6 +8,11 @@ import pytest
 from rvqtok.checkpoint import (FORMAT_VERSION, load_arrays, require_field,
                                save_arrays)
 from rvqtok.errors import CompatibilityError, ParseError
+from rvqtok.pretrain import BackboneModel, load_backbone, save_backbone
+from rvqtok.tokenizer import (_config_snapshot, build_windows, load_tokenizer,
+                              save_tokenizer, train_tokenizer)
+from tests.test_pretrain import tiny_pretrain_config
+from tests.test_tokenizer import tiny_config, tiny_corpus
 
 
 def test_round_trip_preserves_f32_values(tmp_path):
@@ -73,3 +80,149 @@ def test_require_field_names_the_field():
         require_field({}, "levels", 4)
     assert "levels" in str(err.value)
     require_field({"w": 64}, "w", 64)  # no raise
+
+
+def test_negative_shape_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_arrays(path, "k", {}, {"x": np.ones(2)})
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[12:20])
+    header = raw[20:20 + hlen].replace(b'"shape": [2]', b'"shape": [-2]')
+    path.write_bytes(raw[:12] + struct.pack("<Q", len(header)) + header
+                     + raw[20 + hlen:])
+    with pytest.raises(ParseError, match="has shape"):
+        load_arrays(path)
+
+
+def test_directory_rejected_naming_the_path(tmp_path):
+    with pytest.raises(ParseError, match="cannot read checkpoint") as err:
+        load_arrays(tmp_path)
+    assert str(tmp_path) in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def trained():
+    """A tokenizer trained for one epoch, and its corpus."""
+    recs = tiny_corpus(seconds=4.0)
+    model, _ = train_tokenizer(recs, tiny_config(), epochs=1, batch_size=2)
+    return recs, model
+
+
+def _tokens(model, recs):
+    wins = build_windows(recs, 16, 2, val_fraction=0.0)
+    return model.token_indices(wins.patches, wins.channel_idx, wins.slot_idx)
+
+
+def _save(kind, path, trained):
+    if kind == "tokenizer":
+        save_tokenizer(trained[1], path)
+    else:
+        save_backbone(BackboneModel(tiny_pretrain_config(), seed=3), path)
+
+
+LOADERS = {"tokenizer": load_tokenizer, "backbone": load_backbone}
+
+
+class TestModelCheckpoints:
+    def test_loaded_models_hold_no_training_state(self, tmp_path, trained):
+        _, model = trained
+        assert all(p.m is not None for p in model.params())
+        loaded = []
+        for kind, load in LOADERS.items():
+            _save(kind, tmp_path / kind, trained)
+            loaded.append(load(tmp_path / kind))
+        tok, backbone = loaded
+        assert all(b.ema_sum is None for s in tok.stacks for b in s.codebooks)
+        assert all(p.m is None and p.v is None
+                   for p in tok.params() + backbone.params())
+
+    def test_trained_tokenizer_save_load_save_byte_identical(self, tmp_path, trained):
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_tokenizer(trained[1], p1)
+        save_tokenizer(load_tokenizer(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_stores_parameters_and_codebook_entries_only(self, tmp_path, trained):
+        _, model = trained
+        save_tokenizer(model, tmp_path / "a.ckpt")
+        _, _, arrays = load_arrays(tmp_path / "a.ckpt")
+        books = [f"codebook.{s}.{i}.entries" for s in range(2) for i in range(2)]
+        assert list(arrays) == [f"param.{p.name}" for p in model.params()] + books
+
+    def test_file_with_ema_arrays_loads_and_tokenizes_identically(self, tmp_path,
+                                                                  trained):
+        # the earlier layout stored each book's EMA sizes and sums after its
+        # entries; loading skips them
+        recs, model = trained
+        arrays = {f"param.{p.name}": p.data for p in model.params()}
+        for s, stack in enumerate(model.stacks):
+            for i, book in enumerate(stack.codebooks):
+                arrays[f"codebook.{s}.{i}.entries"] = book.entries
+                arrays[f"codebook.{s}.{i}.ema_size"] = book.ema_size
+                arrays[f"codebook.{s}.{i}.ema_sum"] = book.ema_sum
+        old, new, again = (tmp_path / n for n in ("old.ckpt", "new.ckpt", "again.ckpt"))
+        save_arrays(old, "tokenizer", _config_snapshot(model.cfg), arrays)
+        save_tokenizer(model, new)
+        from_old = load_tokenizer(old)
+        assert np.array_equal(_tokens(from_old, recs),
+                              _tokens(load_tokenizer(new), recs))
+        save_tokenizer(from_old, again)
+        assert again.read_bytes() == new.read_bytes()
+
+
+def _rewrite(path, change):
+    kind, snap, arrays = load_arrays(path)
+    change(arrays)
+    save_arrays(path, kind, snap, arrays)
+
+
+def _bad_magic(path):
+    path.write_bytes(b"NOTACKPT" + path.read_bytes()[8:])
+
+
+def _next_version(path):
+    raw = bytearray(path.read_bytes())
+    raw[8:12] = struct.pack("<I", FORMAT_VERSION + 1)
+    path.write_bytes(bytes(raw))
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _trailing(path):
+    path.write_bytes(path.read_bytes() + b"\x00")
+
+
+def _drop_last(path):
+    _rewrite(path, lambda arrays: arrays.pop(list(arrays)[-1]))
+
+
+def _reshape_first(path):
+    _rewrite(path, lambda arrays: arrays.update({list(arrays)[0]: np.zeros(5)}))
+
+
+@pytest.mark.parametrize("kind", list(LOADERS))
+@pytest.mark.parametrize("damage, error", [
+    (_bad_magic, ParseError), (_next_version, CompatibilityError),
+    (_truncate, ParseError), (_trailing, ParseError),
+    (_drop_last, CompatibilityError), (_reshape_first, CompatibilityError)])
+def test_damaged_model_checkpoint_rejected(tmp_path, trained, kind, damage, error):
+    path = tmp_path / "model.ckpt"
+    _save(kind, path, trained)
+    names = list(load_arrays(path)[2])
+    damage(path)
+    with pytest.raises(error) as err:
+        LOADERS[kind](path)
+    if damage is _drop_last:
+        assert names[-1] in str(err.value)
+    if damage is _reshape_first:
+        assert names[0] in str(err.value)
+
+
+@pytest.mark.parametrize("kind", list(LOADERS))
+def test_wrong_kind_rejected(tmp_path, trained, kind):
+    other = "backbone" if kind == "tokenizer" else "tokenizer"
+    _save(other, tmp_path / "model.ckpt", trained)
+    with pytest.raises(CompatibilityError, match=f"expected '{kind}'"):
+        LOADERS[kind](tmp_path / "model.ckpt")

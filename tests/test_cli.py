@@ -134,6 +134,30 @@ class TestCommands:
         assert cmd(["synth-gen", "--out-dir", str(tmp_path), *MICRO]) == 2
         assert not any(tmp_path.rglob("*"))
 
+    def test_out_dir_under_a_file_exit_1(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "x"
+        assert cmd(["synth-gen", "--out-dir", str(out), *MICRO]) == 1
+        assert "Not a directory" in capsys.readouterr().err
+
+    def test_checkpoint_that_is_a_directory_exit_1_without_outputs(self, tmp_path,
+                                                                    capsys):
+        out = tmp_path / "out" / "tokens"
+        assert cmd(["tokenize", "--checkpoint", str(tmp_path), "--out-dir",
+                    str(out), *MICRO]) == 1
+        assert f"cannot read checkpoint {tmp_path}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_output_exit_1_with_cleanup(self, tmp_path, monkeypatch):
+        def body(run, args):
+            run.write_csv("partial.csv", "a", [(1,)])
+            raise PermissionError(13, "Permission denied", "elsewhere")
+
+        monkeypatch.setitem(cli._BODIES, "synth-gen", body)
+        out = tmp_path / "out"
+        assert cmd(["synth-gen", "--out-dir", str(out), *MICRO]) == 1
+        assert not out.exists()
+
     def test_synth_gen_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):

@@ -151,6 +151,37 @@ class TestNearestRows:
         np.testing.assert_array_equal(nearest_rows(x, table),
                                       _broadcast_nearest(x, table))
 
+    @given(_search_cases(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_quantize_level_matches_oracle_at_extreme_magnitudes(self, case, data):
+        # 1e-170 rows square to 0 although nonzero, so normalize_rows leaves
+        # them as they are; 1e160 rows square to inf and normalize to zero
+        q, table, block = case
+        scales = st.sampled_from([1.0, 1e-170, 1e160])
+        table = table * np.array(data.draw(st.lists(
+            scales, min_size=len(table), max_size=len(table))))[:, None]
+        q = q * np.array(data.draw(st.lists(
+            scales, min_size=len(q), max_size=len(q))))[:, None]
+        book = Codebook(table)
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+            mp.setattr(rvq, "SEARCH_BLOCK", block)
+            idx, _ = quantize_level(q, book)
+            want = _broadcast_quantize(q, table)
+        np.testing.assert_array_equal(idx, want)
+
+    def test_window_search_holds_no_copy_of_the_book(self):
+        # one paper-profile window: 64 queries against a K=8192, d_c=128 book
+        rng = np.random.default_rng(13)
+        book = Codebook(rng.normal(size=(8192, 128)))
+        q = rng.normal(size=(64, 128))
+        tracemalloc.start()
+        try:
+            quantize_level(q, book)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < book.entries.nbytes
+
     def test_paper_batch_memory_bounded(self):
         # 32 windows x 64 patches against a K=8192, d_c=128 book: a (B, K, d)
         # tensor would be 16 GiB and one (B, K) distance matrix is 128 MB
@@ -347,6 +378,26 @@ class TestEMA:
         # entries 0 and 1 were both alive at some point this epoch; 2 and 3 never
         assert n == 2
 
+    def test_sums_start_at_first_update_bit_for_bit(self):
+        # the EMA sums start as a copy of the entries when training first
+        # touches them, which is where an eagerly made copy would stand
+        rng = np.random.default_rng(6)
+        entries = rng.normal(size=(8, 3))
+        lazy, eager = Codebook(entries.copy()), Codebook(entries.copy())
+        assert lazy.ema_sum is None
+        eager.ema_sum = entries.copy()
+        for book in (lazy, eager):
+            step = np.random.default_rng(7)
+            for _ in range(3):
+                ema_update(book, step.integers(0, 4, size=6),
+                           step.normal(size=(6, 3)), decay=0.9)
+            end_epoch_reinit(book, step.normal(size=(5, 3)), step)
+        for field in ("entries", "ema_size", "ema_sum"):
+            assert getattr(lazy, field).tobytes() == getattr(eager, field).tobytes()
+        reinit_first = Codebook(entries.copy())
+        end_epoch_reinit(reinit_first, rng.normal(size=(5, 3)), rng)
+        assert reinit_first.ema_sum is not None
+
     def test_decay_validation(self):
         book = Codebook(np.zeros((2, 2)) + 1.0)
         with pytest.raises(ConfigError):
@@ -479,6 +530,19 @@ class TestKMeansInit:
         book = Codebook(np.zeros((4, 2)) + 0.5)
         with pytest.warns(UserWarning):
             kmeans_init(book, samples, iters=5, rng=np.random.default_rng(2))
+
+    def test_padding_warning_names_stack_and_level(self):
+        rng = np.random.default_rng(9)
+        stack = RVQStack.create(2, 2, levels=2, entries=4, rng=rng, name="rvq3")
+        samples = np.tile(np.array([[1.0, 2.0], [-1.0, 0.5]]), (3, 1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            kmeans_init_stack(stack, samples, iters=3, rng=np.random.default_rng(2))
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 2
+        assert "stack rvq3, level 0" in messages[0]
+        assert "2 distinct samples for 4 codewords" in messages[0]
+        assert "stack rvq3, level 1" in messages[1]
 
     def test_too_few_samples_rejected(self):
         book = Codebook(np.zeros((4, 2)) + 0.5)
