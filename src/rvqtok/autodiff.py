@@ -383,6 +383,8 @@ def conv1d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
 
     def bwd(g):
         gw = np.einsum("bol,bclk->ock", g, win, optimize=True)
+        if not x.requires_grad:  # e.g. a first conv stage over input patches
+            return None, gw
         # dx: full correlation of g with the kernel flipped along K, channels swapped
         gp = np.pad(g, ((0, 0), (0, 0), (k - 1, k - 1)))
         gwin = np.lib.stride_tricks.sliding_window_view(gp, k, axis=2)

@@ -152,6 +152,8 @@ def restore(path: str | Path, kind: str,
     by stored name.  Every destination must be stored with its shape, or a
     CompatibilityError names it; each stored array is then converted into
     its destination in place, and stored arrays without one are skipped.
+    A stored array with a NaN or infinite value raises a ParseError naming
+    it, before it is copied.
     """
     path = Path(path)
     with _payload(path) as (fh, stored_kind, config, manifest):
@@ -169,7 +171,10 @@ def restore(path: str | Path, kind: str,
                     f"runtime expects {dest.shape}")
         for name, shape in manifest:
             if name in dests:
-                dests[name][...] = _next_array(fh, path, name, shape)
+                stored = _next_array(fh, path, name, shape)
+                if not np.isfinite(stored).all():
+                    raise ParseError(f"{path}: non-finite values in array {name!r}")
+                dests[name][...] = stored
             else:
                 fh.seek(_nbytes(shape), os.SEEK_CUR)
     return model

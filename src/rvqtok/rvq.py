@@ -16,6 +16,11 @@ shortlisted, and the re-rank computes the same float64 values a full (B, K, d)
 broadcast would: picks, exact ties and lowest-index tie-breaking included, are
 those of the broadcast, bit for bit, at O(B*K) memory per block.
 
+k-means++ seeding keeps each row's distance to its nearest centre the same
+way: a GEMV per new centre shortlists the rows it may be nearer to, and
+only those take the difference form, so the distances, picks and seeded
+codebooks are those of a full difference-form pass per centre, bit for bit.
+
 The quantizer searches the raw book: the GEMM's columns are scaled by
 1/||v||, and only shortlisted codewords are normalized (by
 ``normalize_rows``, as the broadcast would) for the re-rank, so a search
@@ -36,7 +41,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, straight_through  # noqa: F401  (re-exported)
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .optim import Parameter
 
 #: Laplace smoothing constant for EMA cluster sizes.
@@ -358,6 +363,19 @@ def update_centers(centers: np.ndarray, points: np.ndarray,
     centers[filled] = sums[filled] / counts[filled, None]
 
 
+def weighted_index(rng: np.random.Generator, p: np.ndarray) -> int:
+    """``rng.choice(len(p), p=p)``, draw for draw, without choice's checks.
+
+    The same steps as numpy's ``Generator.choice`` with replacement: the
+    cumulative sum over its last value, searched to the right for one
+    ``rng.random()`` draw.  ``p`` must be finite and non-negative with a
+    positive sum, as k-means++'s ``d2 / total`` is.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def kmeans_init(book: Codebook, samples: np.ndarray, iters: int = 10,
                 rng: np.random.Generator | None = None,
                 label: str = "") -> Codebook:
@@ -367,12 +385,16 @@ def kmeans_init(book: Codebook, samples: np.ndarray, iters: int = 10,
     metric); the stored codewords are the raw means of each cluster's
     members, so a book with K == n distinct samples reproduces the samples.
     Fewer than K distinct samples pads with perturbed duplicates and warns;
-    ``label`` names the book in the warning.
+    ``label`` names the book in the warning.  Non-finite samples raise a
+    NumericError.
     """
     rng = rng or np.random.default_rng(0)
+    where = f" ({label})" if label else ""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[1] != book.dim:
         raise ShapeError(f"samples must be (n, {book.dim})")
+    if not np.isfinite(samples).all():
+        raise NumericError(f"kmeans_init{where}: non-finite samples")
     K = book.K
     if samples.shape[0] < K:
         raise ConfigError(f"need at least {K} samples, got {samples.shape[0]}")
@@ -385,20 +407,27 @@ def kmeans_init(book: Codebook, samples: np.ndarray, iters: int = 10,
         samples = np.vstack([samples, distinct[picks] + jitter])
 
     sn = normalize_rows(samples)
+    n = sn.shape[0]
 
-    # k-means++ seeding on the normalized points
+    # k-means++ seeding on the normalized points.  A new centre c lowers d2
+    # only where ||x - c||^2 < d2; the GEMV form ||x||^2 + ||c||^2 - 2 x.c
+    # is within SEARCH_SLACK of the difference form (as in nearest_rows), so
+    # it shortlists every such row, and only those take the difference form.
+    xx = np.einsum("ij,ij->i", sn, sn)
+    slack = SEARCH_SLACK * (1.0 + 2.0 * xx.max())
     centers = np.empty((K, book.dim))
-    first = rng.integers(0, sn.shape[0])
+    first = rng.integers(0, n)
     centers[0] = sn[first]
     d2 = ((sn - centers[0]) ** 2).sum(axis=1)
     for j in range(1, K):
         total = d2.sum()
         if total <= 0:
-            pick = rng.integers(0, sn.shape[0])
+            pick = rng.integers(0, n)
         else:
-            pick = rng.choice(sn.shape[0], p=d2 / total)
-        centers[j] = sn[pick]
-        d2 = np.minimum(d2, ((sn - centers[j]) ** 2).sum(axis=1))
+            pick = weighted_index(rng, d2 / total)
+        c = centers[j] = sn[pick]
+        near = np.flatnonzero(xx + xx[pick] - 2.0 * (sn @ c) <= d2 + slack)
+        d2[near] = np.minimum(d2[near], ((sn[near] - c) ** 2).sum(axis=1))
 
     assign = nearest_rows(sn, centers)
     for _ in range(iters):
@@ -412,17 +441,15 @@ def kmeans_init(book: Codebook, samples: np.ndarray, iters: int = 10,
     counts = np.bincount(assign, minlength=K).astype(np.float64)
     raw_sums = np.zeros((K, book.dim))
     np.add.at(raw_sums, assign, samples)
-    for j in range(K):
-        if counts[j] > 0:
-            book.entries[j] = raw_sums[j] / counts[j]
-        else:
-            book.entries[j] = samples[rng.integers(0, samples.shape[0])]
-            counts[j] = 1.0
-            raw_sums[j] = book.entries[j]
-    book.ema_size = counts.copy()
-    book.ema_sum = raw_sums.copy()
+    filled = counts > 0
+    book.entries[filled] = raw_sums[filled] / counts[filled, None]
+    for j in np.flatnonzero(~filled):
+        book.entries[j] = samples[rng.integers(0, samples.shape[0])]
+        counts[j] = 1.0
+        raw_sums[j] = book.entries[j]
+    book.ema_size = counts
+    book.ema_sum = raw_sums
     if n_distinct < K:
-        where = f" ({label})" if label else ""
         warnings.warn(f"kmeans_init{where}: {n_distinct} distinct samples for "
                       f"{K} codewords; padded with perturbed duplicates",
                       stacklevel=2)

@@ -32,6 +32,23 @@ def test_conv1d_matches_nested_sum_oracle():
     np.testing.assert_allclose(out.data[0, 0], expect, atol=1e-12)
 
 
+def test_conv1d_backward_skips_input_gradient_of_a_constant():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(2, 3, 10))
+    grads = []
+    kernel = rng.normal(size=(4, 3, 5))
+    for track in (False, True):
+        w = Tensor(kernel.copy(), requires_grad=True)
+        with Tape() as tape:
+            out = ad.conv1d(Tensor(x, requires_grad=track), w, padding=2)
+            loss = ad.tsum(ad.square(out))
+        gx, _ = tape.entries[0].backward(2.0 * out.data)
+        assert (gx is None) == (not track)
+        backward(tape, loss)
+        grads.append(w.grad)
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
 def test_groupnorm_constant_input_is_zero():
     x = Tensor(np.full((2, 8, 5), 3.25))
     out = ad.groupnorm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)), groups=4)

@@ -221,6 +221,22 @@ def test_damaged_model_checkpoint_rejected(tmp_path, trained, kind, damage, erro
 
 
 @pytest.mark.parametrize("kind", list(LOADERS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, -1])  # a tokenizer's first weight, last codebook
+def test_non_finite_values_rejected_naming_the_array(tmp_path, trained, kind, bad, at):
+    path = tmp_path / "model.ckpt"
+    _save(kind, path, trained)
+    name = list(load_arrays(path)[2])[at]
+
+    def damage(arrays):
+        arrays[name].flat[0] = bad
+
+    _rewrite(path, damage)
+    with pytest.raises(ParseError, match=f"non-finite values in array '{name}'"):
+        LOADERS[kind](path)
+
+
+@pytest.mark.parametrize("kind", list(LOADERS))
 def test_wrong_kind_rejected(tmp_path, trained, kind):
     other = "backbone" if kind == "tokenizer" else "tokenizer"
     _save(other, tmp_path / "model.ckpt", trained)

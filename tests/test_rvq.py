@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from rvqtok import autodiff as ad
 from rvqtok import rvq
 from rvqtok.autodiff import Tape, Tensor, backward
-from rvqtok.errors import ConfigError, ShapeError
+from rvqtok.errors import ConfigError, NumericError, ShapeError
 from rvqtok.optim import Parameter
 from rvqtok.rvq import (Codebook, RVQStack, begin_epoch, end_epoch_reinit,
                         ema_update, kmeans_init, kmeans_init_stack,
                         nearest_rows, normalize_rows, quantization_loss,
-                        quantize_level, straight_through, update_centers)
+                        quantize_level, straight_through, update_centers,
+                        weighted_index)
 
 
 def _stack(model_dim=6, code_dim=4, levels=2, entries=8, seed=0, identity=False):
@@ -451,6 +452,83 @@ def _broadcast_kmeans_init(book, samples, iters, rng):
     return book
 
 
+@pytest.mark.parametrize("kind", ["zeros", "single"])
+def test_weighted_index_matches_choice_draw_for_draw(kind):
+    for seed in range(250):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        if kind == "zeros":
+            w = rng.random(n)
+            w[rng.random(n) < 0.4] = 0.0
+            w[rng.integers(0, n)] = rng.random() + 0.1
+        else:
+            w = np.zeros(n)
+            w[rng.integers(0, n)] = rng.random() + 0.1
+        p = w / w.sum()
+        ours, numpy_ = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        for _ in range(4):
+            pick = weighted_index(ours, p)
+            assert pick == numpy_.choice(n, p=p)
+            assert p[pick] > 0
+        assert ours.random() == numpy_.random()  # the streams stay in step
+
+
+def test_weighted_index_draw_on_a_boundary_skips_zero_weights():
+    class Draws:  # a generator whose next uniform draw is given
+        def __init__(self, u):
+            self.u = u
+
+        def random(self):
+            return self.u
+
+    p = np.array([0.0, 0.25, 0.0, 0.25, 0.5, 0.0])
+    # choice searches the cumulative sums to the right: a draw equal to one
+    # lands on the next entry with weight
+    for u, want in [(0.0, 1), (0.25, 3), (0.5, 4), (0.75, 4)]:
+        assert weighted_index(Draws(u), p) == want
+
+
+def _kmeans_samples(kind, rng, K, d):
+    """Samples that stress the seeding's exact distances: repeated rows, zero
+    rows, exact ties, padding, and rows that normalize to one unit vector."""
+    if kind == "duplicates":
+        x = rng.normal(size=(K + 4, d))
+        return np.vstack([x, x[rng.integers(0, K + 4, size=K)]])
+    if kind == "near-duplicates":  # unit rows ~1e-10 apart: d2 ~ 1e-20
+        m = max(1, K // 4)
+        x = rng.normal(size=(m, d))[rng.integers(0, m, size=2 * K)]
+        return x * (1.0 + 1e-10 * rng.standard_normal(x.shape))
+    if kind == "zeros":
+        x = rng.normal(size=(2 * K + 2, d))
+        x[rng.random(2 * K + 2) < 0.3] = 0.0
+        return x
+    if kind == "grid":
+        return rng.integers(-2, 3, size=(3 * K, d)).astype(np.float64)
+    if kind == "padded":
+        m = max(1, K // 3)
+        return np.tile(rng.normal(size=(m, d)), (K // m + 1, 1))
+    if kind == "one-distinct":
+        return np.tile(rng.normal(size=(1, d)), (K + 2, 1))
+    # collinear: 5 directions at scales 2^0..2^7 normalize to 5 unit vectors
+    scales = 2.0 ** np.arange(8)
+    return (rng.normal(size=(5, 1, d)) * scales[:, None]).reshape(-1, d)
+
+
+def _assert_seeds_like_full_pass(samples, K, seed):
+    """kmeans_init stores the same bytes as the broadcast-form copy of the
+    full difference-form seeding loop, on the same samples and seed."""
+    books = []
+    for init in (kmeans_init, _broadcast_kmeans_init):
+        book = Codebook(np.zeros((K, samples.shape[1])) + 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            init(book, samples, iters=10, rng=np.random.default_rng(seed))
+        books.append(book)
+    got, want = books
+    for field in ("entries", "ema_size", "ema_sum"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+
 class TestKMeansInit:
     @given(seed=st.integers(0, 2 ** 31 - 1), K=st.integers(1, 12),
            d=st.integers(1, 5), extra=st.integers(0, 3))
@@ -493,6 +571,32 @@ class TestKMeansInit:
         for field in ("entries", "ema_size", "ema_sum"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
+
+    @given(seed=st.integers(0, 2 ** 31 - 1), K=st.integers(1, 16),
+           d=st.integers(1, 6),
+           kind=st.sampled_from(["duplicates", "near-duplicates", "zeros", "grid",
+                                 "padded", "one-distinct", "collinear"]))
+    @settings(max_examples=150, deadline=None)
+    def test_seeding_matches_full_pass_on_ties(self, seed, K, d, kind):
+        samples = _kmeans_samples(kind, np.random.default_rng(seed), K, d)
+        _assert_seeds_like_full_pass(samples, K, seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_seeding_matches_full_pass_on_collinear_rows(self, seed, d):
+        # 40 distinct rows but 5 unit vectors: after 5 centres every exact
+        # distance is 0 and the seeding falls back to uniform picks
+        samples = _kmeans_samples("collinear", np.random.default_rng(seed), 32, d)
+        assert np.unique(samples, axis=0).shape[0] == 40
+        _assert_seeds_like_full_pass(samples, 32, seed)
+
+    def test_non_finite_samples_rejected(self):
+        samples = np.random.default_rng(0).normal(size=(8, 2))
+        for bad in (np.nan, np.inf):
+            samples[3, 1] = bad
+            with pytest.raises(NumericError, match="level 2"):
+                kmeans_init(Codebook(np.zeros((4, 2)) + 0.5), samples,
+                            rng=np.random.default_rng(0), label="level 2")
 
     def test_recovers_separated_cluster_means(self):
         rng = np.random.default_rng(5)
