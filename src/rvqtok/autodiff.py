@@ -33,8 +33,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
@@ -60,49 +60,15 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
 
-    # operator sugar used throughout the model code
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other, self.dtype))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other, self.dtype), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other, self.dtype))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other, self.dtype))
-
-
-def _as_tensor(x, dtype=None) -> Tensor:
+def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=dtype))
+    return Tensor(x)
 
 
 class _TapeEntry:
@@ -222,10 +188,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
                 _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _record("div", (a, b), a.data / b.data, bwd)
-
-
-def neg(a: Tensor) -> Tensor:
-    return _record("neg", (a,), -a.data, lambda g: (-g,))
 
 
 def square(a: Tensor) -> Tensor:

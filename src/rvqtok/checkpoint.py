@@ -12,6 +12,13 @@ stored; a model trained after loading starts that state afresh.  Files
 written before the EMA arrays were dropped still load: arrays the runtime
 has no place for are skipped.
 
+Headers of older files may carry settings the runtime has since dropped
+(``dtype``, ``fusion``, ``qk_norm``).  ``dtype`` is ignored.  ``fusion``
+and ``qk_norm`` are ignored at the one value the runtime implements
+(``"sum"``, ``true``); any other value is rejected with a
+CompatibilityError naming the key, since the stored arrays would
+otherwise load into a different model.
+
 Models run in float64 and a checkpoint stores each value's float32
 rounding, so save -> load rounds.  Loading materializes exactly the stored
 f32 values, so a save -> load -> save cycle is byte-identical.
@@ -187,3 +194,13 @@ def require_field(config: dict, field: str, expected) -> None:
     if config[field] != expected:
         raise CompatibilityError(
             f"checkpoint field {field!r} is {config[field]!r}, runtime expects {expected!r}")
+
+
+def reject_dropped_field(config: dict, field: str, implemented) -> None:
+    """Raise a CompatibilityError naming ``field``, a setting the runtime no
+    longer has, when an older header stores it at another value than the
+    one the runtime implements."""
+    if field in config and config[field] != implemented:
+        raise CompatibilityError(
+            f"checkpoint field {field!r} is {config[field]!r}; this runtime "
+            f"implements only {implemented!r}")

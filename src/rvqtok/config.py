@@ -38,10 +38,8 @@ CONFIG_SCHEMA: dict[str, dict[str, tuple[type, str]]] = {
         "mlp_dim": (int, "transformer MLP hidden width"),
         "layer_scale_init": (float, "residual branch scale at init"),
         "backbone_layer_scale_init": (float, "backbone residual scale at init"),
-        "qk_norm": (bool, "normalize queries/keys inside attention"),
         "n_electrodes": (int, "global electrode list size"),
         "max_slots": (int, "temporal embedding rows (max slots per window)"),
-        "fusion": (str, "branch fusion before decoding: sum or concat"),
     },
     "train": {
         "lambda_circle": (float, "unit-circle penalty weight"),
@@ -79,8 +77,8 @@ DESK_PROFILE: dict[str, dict] = {
     "model": {"w": 64, "D": 64, "S": 4, "N": 4, "K": 256, "d_c": 32,
               "encoder_depth": 2, "decoder_depth": 1, "backbone_depth": 4,
               "heads": 4, "mlp_dim": 256, "layer_scale_init": 1e-3,
-              "backbone_layer_scale_init": 0.1, "qk_norm": True,
-              "n_electrodes": 8, "max_slots": 8, "fusion": "sum"},
+              "backbone_layer_scale_init": 0.1, "n_electrodes": 8,
+              "max_slots": 8},
     "train": {"lambda_circle": 0.4, "commitment_beta": 0.25, "ema_decay": 0.99,
               "tokenizer_epochs": 12, "tokenizer_lr": 3e-3,
               "tokenizer_min_lr": 1e-5, "tokenizer_warmup_epochs": 2,
@@ -99,8 +97,8 @@ PAPER_PROFILE: dict[str, dict] = {
     "model": {"w": 200, "D": 200, "S": 4, "N": 8, "K": 8192, "d_c": 128,
               "encoder_depth": 12, "decoder_depth": 3, "backbone_depth": 12,
               "heads": 10, "mlp_dim": 800, "layer_scale_init": 1e-3,
-              "backbone_layer_scale_init": 1e-3, "qk_norm": True,
-              "n_electrodes": 64, "max_slots": 16, "fusion": "sum"},
+              "backbone_layer_scale_init": 1e-3, "n_electrodes": 64,
+              "max_slots": 16},
     "train": {"lambda_circle": 0.4, "commitment_beta": 0.25, "ema_decay": 0.99,
               "tokenizer_epochs": 100, "tokenizer_lr": 5e-5,
               "tokenizer_min_lr": 1e-5, "tokenizer_warmup_epochs": 10,
@@ -115,6 +113,22 @@ PAPER_PROFILE: dict[str, dict] = {
 }
 
 PROFILES = {"desk": DESK_PROFILE, "paper": PAPER_PROFILE}
+
+#: (section, key) -> least valid value.  Sizes and counts that index, divide
+#: or allocate start at 1; depths, epoch counts and loss weights start at 0.
+MINIMUMS: dict[tuple[str, str], float] = {
+    ("model", "w"): 2, ("model", "D"): 1, ("model", "S"): 1, ("model", "N"): 1,
+    ("model", "K"): 1, ("model", "d_c"): 1, ("model", "heads"): 1,
+    ("model", "mlp_dim"): 1, ("model", "encoder_depth"): 0,
+    ("model", "decoder_depth"): 0, ("model", "backbone_depth"): 0,
+    ("train", "lambda_circle"): 0, ("train", "commitment_beta"): 0,
+    ("train", "tokenizer_epochs"): 0, ("train", "tokenizer_warmup_epochs"): 0,
+    ("train", "batch_size"): 1, ("train", "slots_per_window"): 1,
+    ("train", "pretrain_epochs"): 0, ("train", "pretrain_warmup_epochs"): 0,
+    ("train", "pretrain_batch_size"): 1, ("train", "pretrain_slots_per_window"): 1,
+    ("synth", "recordings"): 1, ("synth", "channels"): 1,
+    ("synth", "components_per_band"): 0,
+}
 
 
 @dataclass
@@ -138,7 +152,6 @@ class RunConfig:
             depth=m["backbone_depth"] if backbone else m["encoder_depth"],
             heads=m["heads"], mlp_dim=m["mlp_dim"],
             n_electrodes=m["n_electrodes"], max_slots=m["max_slots"],
-            qk_norm=m["qk_norm"],
             layer_scale_init=(m["backbone_layer_scale_init"] if backbone
                               else m["layer_scale_init"]))
 
@@ -148,7 +161,7 @@ class RunConfig:
             encoder=self.encoder_config(), levels=m["N"], codebook_size=m["K"],
             code_dim=m["d_c"], decoder_depth=m["decoder_depth"],
             commitment_beta=t["commitment_beta"], ema_decay=t["ema_decay"],
-            lambda_circle=t["lambda_circle"], fusion=m["fusion"])
+            lambda_circle=t["lambda_circle"])
 
     def pretrain_config(self) -> PretrainConfig:
         m, t, r = self.values["model"], self.values["train"], self.values["run"]
@@ -165,20 +178,20 @@ class RunConfig:
 
     def validate(self) -> None:
         m, t, s = self.values["model"], self.values["train"], self.values["synth"]
+        for (section, key), least in MINIMUMS.items():
+            if self.values[section][key] < least:
+                raise ConfigError(f"{section}.{key} must be at least {least}, "
+                                  f"got {self.values[section][key]}")
+        if s["duration"] * s["sample_rate"] < m["w"]:
+            raise ConfigError(f"synth.duration {s['duration']} s at "
+                              f"synth.sample_rate {s['sample_rate']} Hz is shorter "
+                              f"than one patch of model.w {m['w']} samples")
         if m["w"] % 2 != 0:
             raise ConfigError("model.w must be even (spectral targets need w/2+1 bins)")
         if m["D"] % m["heads"] != 0:
             raise ConfigError("model.D must be divisible by model.heads")
         if not 0.0 < t["mask_ratio"] < 1.0:
             raise ConfigError("train.mask_ratio must lie strictly between 0 and 1")
-        if t["lambda_circle"] < 0:
-            raise ConfigError("train.lambda_circle must be non-negative")
-        if m["N"] < 1 or m["K"] < 1:
-            raise ConfigError("model.N and model.K must be at least 1")
-        if s["recordings"] < 1 or s["channels"] < 1:
-            raise ConfigError("synth.recordings and synth.channels must be positive")
-        if m["fusion"] not in ("sum", "concat"):
-            raise ConfigError("model.fusion must be sum or concat")
         if s["channels"] > m["n_electrodes"]:
             raise ConfigError(f"synth.channels {s['channels']} exceeds "
                               f"model.n_electrodes {m['n_electrodes']}")

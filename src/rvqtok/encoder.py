@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .checkpoint import reject_dropped_field
 from .errors import ConfigError
 from .optim import Parameter
 
@@ -82,7 +83,6 @@ class EncoderConfig:
     mlp_dim: int = 256
     n_electrodes: int = 8
     max_slots: int = 64
-    qk_norm: bool = True
     layer_scale_init: float = 1e-3
     branches: list[BranchConfig] = field(default_factory=list)
 
@@ -108,7 +108,7 @@ def encoder_snapshot(cfg: EncoderConfig) -> dict:
         "w": cfg.w, "model_dim": cfg.model_dim, "S": cfg.S, "depth": cfg.depth,
         "heads": cfg.heads, "mlp_dim": cfg.mlp_dim,
         "n_electrodes": cfg.n_electrodes, "max_slots": cfg.max_slots,
-        "qk_norm": cfg.qk_norm, "layer_scale_init": cfg.layer_scale_init,
+        "layer_scale_init": cfg.layer_scale_init,
         "branches": [{"filters": list(b.filters), "kernels": list(b.kernels),
                       "paddings": list(b.paddings), "pools": list(b.pools),
                       "groups": b.groups} for b in cfg.branches],
@@ -116,14 +116,16 @@ def encoder_snapshot(cfg: EncoderConfig) -> dict:
 
 
 def encoder_from_snapshot(snap: dict) -> EncoderConfig:
-    """Inverse of :func:`encoder_snapshot`."""
+    """Inverse of :func:`encoder_snapshot`; an older header's ``qk_norm``
+    must be true."""
+    reject_dropped_field(snap, "qk_norm", True)
     branches = [BranchConfig(filters=tuple(b["filters"]), kernels=tuple(b["kernels"]),
                              paddings=tuple(b["paddings"]), pools=tuple(b["pools"]),
                              groups=b["groups"]) for b in snap["branches"]]
     return EncoderConfig(w=snap["w"], model_dim=snap["model_dim"], S=snap["S"],
                          depth=snap["depth"], heads=snap["heads"],
                          mlp_dim=snap["mlp_dim"], n_electrodes=snap["n_electrodes"],
-                         max_slots=snap["max_slots"], qk_norm=snap["qk_norm"],
+                         max_slots=snap["max_slots"],
                          layer_scale_init=snap["layer_scale_init"], branches=branches)
 
 
@@ -225,7 +227,6 @@ class TransformerBlock:
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, name: str):
         D = cfg.model_dim
         self.heads = cfg.heads
-        self.qk_norm = cfg.qk_norm
         self.ln1 = LayerNorm(D, f"{name}.ln1")
         self.wq = Linear(D, D, rng, f"{name}.wq", bias=False)
         self.wk = Linear(D, D, rng, f"{name}.wk", bias=False)
@@ -243,9 +244,8 @@ class TransformerBlock:
     def __call__(self, x: Tensor) -> Tensor:
         h = self.ln1(x)
         q, k, v = self.wq(h), self.wk(h), self.wv(h)
-        if self.qk_norm:
-            q = ad.layernorm(q, self._unit_gain, self._zero_bias)
-            k = ad.layernorm(k, self._unit_gain, self._zero_bias)
+        q = ad.layernorm(q, self._unit_gain, self._zero_bias)
+        k = ad.layernorm(k, self._unit_gain, self._zero_bias)
         att = ad.multihead_attention(q, k, v, self.heads, w_out=self.wo.w.tensor)
         x = ad.add(x, ad.mul(self.ls1.tensor, att))
         m = self.fc2(ad.gelu(self.fc1(self.ln2(x))))

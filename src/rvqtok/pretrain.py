@@ -123,11 +123,6 @@ class BackboneModel:
             features = ad.add(ad.mul(features, keep), ad.mul(token, hide))
         return self.encoder.forward(t, channel_idx, slot_idx, features=features)
 
-    def logits(self, reps: list[Tensor]) -> list[list[Tensor]]:
-        """(B, P, K) logits per (branch, level) head."""
-        return [[head(reps[s]) for head in row]
-                for s, row in enumerate(self.heads)]
-
 
 def teacher_tokens(windows: WindowSet, tokenizer: TokenizerModel) -> np.ndarray:
     """Frozen-tokenizer code indices with extents (W, P, S, N)."""
@@ -204,8 +199,7 @@ def _view_loss(backbone: BackboneModel, batch: WindowSet, mask: np.ndarray,
 
 
 def pretrain_step(batch: WindowSet, masks: np.ndarray, backbone: BackboneModel,
-                  teacher: np.ndarray, lr: float,
-                  weight_decay: float | None = None) -> tuple[float, float]:
+                  teacher: np.ndarray, lr: float) -> tuple[float, float]:
     """One update over a mask view and its complement; returns (loss, accuracy).
 
     Loss is the mean over both views of the per-head masked cross entropy;
@@ -215,7 +209,6 @@ def pretrain_step(batch: WindowSet, masks: np.ndarray, backbone: BackboneModel,
     if masks.shape != batch.patches.shape[:2]:
         raise ConfigError(f"mask shape {masks.shape} != batch (W, P) "
                           f"{batch.patches.shape[:2]}")
-    wd = backbone.cfg.weight_decay if weight_decay is None else weight_decay
     params = backbone.params()
     with Tape() as tape:
         loss_a, correct_a, masked_a, heads = _view_loss(backbone, batch, masks, teacher)
@@ -225,7 +218,7 @@ def pretrain_step(batch: WindowSet, masks: np.ndarray, backbone: BackboneModel,
     if not math.isfinite(loss_val):
         raise NumericError(f"non-finite pretraining loss: {loss_val}")
     backward(tape, total)
-    adamw_step(params, lr=lr, weight_decay=wd)
+    adamw_step(params, lr=lr, weight_decay=backbone.cfg.weight_decay)
     backbone.zero_grads()
     acc = (correct_a + correct_b) / (heads * (masked_a + masked_b))
     return loss_val, acc

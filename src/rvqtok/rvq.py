@@ -326,9 +326,9 @@ def begin_epoch(book: Codebook) -> None:
 
 
 def end_epoch_reinit(book: Codebook, samples: np.ndarray | None = None,
-                     rng: np.random.Generator | None = None,
-                     threshold: float = DEAD_CODE_THRESHOLD) -> int:
-    """Reinitialize entries whose EMA size stayed below threshold all epoch.
+                     rng: np.random.Generator | None = None) -> int:
+    """Reinitialize entries whose EMA size stayed below
+    ``DEAD_CODE_THRESHOLD`` all epoch.
 
     Replacements default to the book's own reservoir of recent level inputs,
     which keeps the reseeded codewords at the magnitude this level actually
@@ -337,7 +337,7 @@ def end_epoch_reinit(book: Codebook, samples: np.ndarray | None = None,
     rng = rng or np.random.default_rng(0)
     if samples is None:
         samples = book.reservoir
-    dead = np.flatnonzero(book.epoch_peak_size < threshold)
+    dead = np.flatnonzero(book.epoch_peak_size < DEAD_CODE_THRESHOLD)
     if dead.size == 0 or len(samples) == 0:
         return 0
     picks = rng.integers(0, len(samples), size=dead.size)

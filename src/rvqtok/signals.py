@@ -20,7 +20,6 @@ class Recording:
     sample_rate: float
     channels: list[str]
     data: np.ndarray  # (C, T)
-    labels: np.ndarray | None = None
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
@@ -291,14 +290,13 @@ def resample_linear(rec: Recording, target_rate: float) -> Recording:
     if target_rate <= 0:
         raise ConfigError(f"target_rate must be positive, got {target_rate}")
     if target_rate == rec.sample_rate:
-        return Recording(rec.sample_rate, list(rec.channels), rec.data.copy(),
-                         rec.labels)
+        return Recording(rec.sample_rate, list(rec.channels), rec.data.copy())
     duration = rec.n_samples / rec.sample_rate
     n_out = int(round(duration * target_rate))
     t_src = np.arange(rec.n_samples) / rec.sample_rate
     t_dst = np.arange(n_out) / target_rate
     out = np.vstack([np.interp(t_dst, t_src, row) for row in rec.data])
-    return Recording(target_rate, list(rec.channels), out, None)
+    return Recording(target_rate, list(rec.channels), out)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .checkpoint import ZeroDraws, require_field, restore, save_arrays
+from .checkpoint import (ZeroDraws, reject_dropped_field, require_field, restore,
+                         save_arrays)
 from .encoder import (EncoderConfig, Linear, MultiScaleEncoder, TransformerStack,
                       encoder_from_snapshot, encoder_snapshot)
 from .errors import ConfigError, NumericError
@@ -39,13 +40,10 @@ class TokenizerConfig:
     commitment_beta: float = 0.25
     ema_decay: float = 0.99
     lambda_circle: float = 0.4
-    fusion: str = "sum"        # or "concat"
 
     def __post_init__(self):
         if self.levels < 1:
             raise ConfigError("levels must be at least 1")
-        if self.fusion not in ("sum", "concat"):
-            raise ConfigError(f"fusion must be 'sum' or 'concat', got {self.fusion!r}")
 
     @property
     def n_bins(self) -> int:
@@ -70,8 +68,6 @@ class TokenizerModel:
         self.stacks = [RVQStack.create(enc.model_dim, cfg.code_dim, cfg.levels,
                                        cfg.codebook_size, rng, name=f"rvq{s}")
                        for s in range(enc.S)]
-        self.fuse_proj = (Linear(enc.S * enc.model_dim, enc.model_dim, rng, "fuse")
-                          if cfg.fusion == "concat" else None)
         self.decoder = TransformerStack(enc, cfg.decoder_depth, rng, "decoder")
         nb = cfg.n_bins
         self.head_log_amp = Linear(enc.model_dim, nb, rng, "head.log_amp", scale=0.02)
@@ -84,8 +80,6 @@ class TokenizerModel:
         out = list(self.encoder.params())
         for stack in self.stacks:
             out.extend([stack.down_proj, stack.up_proj])
-        if self.fuse_proj is not None:
-            out.extend(self.fuse_proj.params())
         out.extend(self.decoder.params())
         for head in (self.head_log_amp, self.head_sin, self.head_cos):
             out.extend(head.params())
@@ -130,13 +124,10 @@ class TokenizerModel:
         return quantized, assigns, lq_total
 
     def decode(self, quantized: list[Tensor]) -> PhasePrediction:
-        """Fuse branch representations, decode, and emit the three heads."""
-        if self.cfg.fusion == "concat":
-            fused = self.fuse_proj(ad.concat(quantized, axis=-1))
-        else:
-            fused = quantized[0]
-            for q in quantized[1:]:
-                fused = ad.add(fused, q)
+        """Sum the branch representations, decode, and emit the three heads."""
+        fused = quantized[0]
+        for q in quantized[1:]:
+            fused = ad.add(fused, q)
         h = self.decoder(fused)
         return PhasePrediction(self.head_log_amp(h), self.head_sin(h),
                                self.head_cos(h))
@@ -272,20 +263,6 @@ CLIP_NORM = 3.0
 
 
 @dataclass
-class TrainState:
-    total_steps: int
-    warmup_steps: int
-    base_lr: float = 1e-3
-    min_lr: float = 1e-5
-    weight_decay: float = 1e-4
-    step: int = 0
-
-    def lr(self) -> float:
-        return cosine_warmup_lr(self.step, self.total_steps, self.warmup_steps,
-                                self.base_lr, self.min_lr)
-
-
-@dataclass
 class BandReport:
     """Per-band reconstruction MSE for one evaluation split."""
 
@@ -298,8 +275,8 @@ class BandReport:
                 for band in self.mse]
 
 
-def train_step(batch: WindowSet, model: TokenizerModel, state: TrainState
-               ) -> dict[str, float]:
+def train_step(batch: WindowSet, model: TokenizerModel, lr: float,
+               weight_decay: float) -> dict[str, float]:
     """One optimizer update; returns the per-term loss breakdown."""
     params = model.params()
     with Tape() as tape:
@@ -312,16 +289,15 @@ def train_step(batch: WindowSet, model: TokenizerModel, state: TrainState
         total = ad.add(total, lq)
         parts["total"] = total.item()
     if not math.isfinite(parts["total"]):
-        raise NumericError(f"non-finite loss at step {state.step}: {parts}")
+        raise NumericError(f"non-finite tokenizer loss: {parts}")
     backward(tape, total)
     clip_global_norm(params, CLIP_NORM)
-    adamw_step(params, lr=state.lr(), weight_decay=state.weight_decay)
+    adamw_step(params, lr=lr, weight_decay=weight_decay)
     model.zero_grads()
     for stack, assign in zip(model.stacks, assigns):
         for i, book in enumerate(stack.codebooks):
             ema_update(book, assign.indices[:, i], assign.level_inputs[i],
                        model.cfg.ema_decay)
-    state.step += 1
     return parts
 
 
@@ -369,14 +345,13 @@ def train_tokenizer(dataset: list[Recording], cfg: TokenizerConfig,
         raise ConfigError("no training windows after the validation split")
     model = TokenizerModel(cfg, seed=seed)
     steps_per_epoch = math.ceil(train_set.n_windows / batch_size)
-    state = TrainState(total_steps=max(1, epochs * steps_per_epoch),
-                       warmup_steps=warmup_epochs * steps_per_epoch,
-                       base_lr=base_lr, min_lr=min_lr,
-                       weight_decay=weight_decay)
+    total_steps = max(1, epochs * steps_per_epoch)
+    warmup_steps = warmup_epochs * steps_per_epoch
     curves: list[dict] = []
     if epochs == 0:
         return model, curves
     rng = np.random.default_rng(seed + 1)
+    step = 0
 
     # codebooks start as k-means over leading windows' code-space inputs
     P = train_set.patches.shape[1]
@@ -399,8 +374,10 @@ def train_tokenizer(dataset: list[Recording], cfg: TokenizerConfig,
         train_sums: dict[str, float] = {}
         n_batches = 0
         for _, batch in train_set.batches(batch_size, order):
-            parts = train_step(batch, model, state)
+            lr = cosine_warmup_lr(step, total_steps, warmup_steps, base_lr, min_lr)
+            parts = train_step(batch, model, lr, weight_decay)
             n_batches += 1
+            step += 1
             for key, v in parts.items():
                 train_sums[key] = train_sums.get(key, 0.0) + v
         row = {"epoch": epoch, "split": "train"}
@@ -464,19 +441,21 @@ def _config_snapshot(cfg: TokenizerConfig) -> dict:
         "levels": cfg.levels, "codebook_size": cfg.codebook_size,
         "code_dim": cfg.code_dim, "decoder_depth": cfg.decoder_depth,
         "commitment_beta": cfg.commitment_beta, "ema_decay": cfg.ema_decay,
-        "lambda_circle": cfg.lambda_circle, "fusion": cfg.fusion,
+        "lambda_circle": cfg.lambda_circle,
     }
 
 
 def config_from_snapshot(snap: dict) -> TokenizerConfig:
+    """Inverse of :func:`_config_snapshot`; an older header's ``fusion``
+    must be ``"sum"``."""
+    reject_dropped_field(snap, "fusion", "sum")
     return TokenizerConfig(encoder=encoder_from_snapshot(snap), levels=snap["levels"],
                            codebook_size=snap["codebook_size"],
                            code_dim=snap["code_dim"],
                            decoder_depth=snap["decoder_depth"],
                            commitment_beta=snap["commitment_beta"],
                            ema_decay=snap["ema_decay"],
-                           lambda_circle=snap["lambda_circle"],
-                           fusion=snap["fusion"])
+                           lambda_circle=snap["lambda_circle"])
 
 
 def _stored_arrays(model: TokenizerModel) -> dict[str, np.ndarray]:

@@ -8,7 +8,8 @@ import pytest
 from rvqtok.checkpoint import (FORMAT_VERSION, load_arrays, require_field,
                                save_arrays)
 from rvqtok.errors import CompatibilityError, ParseError
-from rvqtok.pretrain import BackboneModel, load_backbone, save_backbone
+from rvqtok.pretrain import (BackboneModel, extract_features, load_backbone,
+                             save_backbone)
 from rvqtok.tokenizer import (_config_snapshot, build_windows, load_tokenizer,
                               save_tokenizer, train_tokenizer)
 from tests.test_pretrain import tiny_pretrain_config
@@ -242,3 +243,47 @@ def test_wrong_kind_rejected(tmp_path, trained, kind):
     _save(other, tmp_path / "model.ckpt", trained)
     with pytest.raises(CompatibilityError, match=f"expected '{kind}'"):
         LOADERS[kind](tmp_path / "model.ckpt")
+
+
+def _parent_format(kind, path, trained, **header):
+    """Rewrite a saved checkpoint as the earlier layout wrote it: the header
+    also stored ``qk_norm`` and, for a tokenizer, ``fusion``."""
+    _save(kind, path, trained)
+    stored_kind, snap, arrays = load_arrays(path)
+    dropped = {"qk_norm": True, **({"fusion": "sum"} if kind == "tokenizer" else {})}
+    if header.get("fusion") == "concat":
+        # a concat tokenizer also stored its fusion projection, S * D -> D
+        d = snap["model_dim"]
+        arrays["param.fuse.w"] = np.ones((snap["S"] * d, d))
+        arrays["param.fuse.b"] = np.zeros(d)
+    save_arrays(path, stored_kind, {**snap, **dropped, **header}, arrays)
+
+
+@pytest.mark.parametrize("kind, key, value", [("tokenizer", "fusion", "concat"),
+                                              ("tokenizer", "qk_norm", False),
+                                              ("backbone", "qk_norm", False)])
+def test_dropped_setting_at_another_value_rejected_naming_it(tmp_path, trained,
+                                                            kind, key, value):
+    path = tmp_path / "old.ckpt"
+    _parent_format(kind, path, trained, **{key: value})
+    with pytest.raises(CompatibilityError, match=f"'{key}' is {value!r}"):
+        LOADERS[kind](path)
+
+
+@pytest.mark.parametrize("kind", list(LOADERS))
+def test_dropped_setting_at_the_implemented_value_loads_identically(tmp_path, trained,
+                                                                   kind):
+    recs = trained[0]
+    old, new, again = (tmp_path / n for n in ("old.ckpt", "new.ckpt", "again.ckpt"))
+    _parent_format(kind, old, trained)
+    _save(kind, new, trained)
+    from_old, from_new = LOADERS[kind](old), LOADERS[kind](new)
+    if kind == "tokenizer":
+        assert np.array_equal(_tokens(from_old, recs), _tokens(from_new, recs))
+        save_tokenizer(from_old, again)
+    else:
+        wins = build_windows(recs, 16, 2, val_fraction=0.0)
+        assert np.array_equal(extract_features(from_old, wins),
+                              extract_features(from_new, wins))
+        save_backbone(from_old, again)
+    assert again.read_bytes() == new.read_bytes()

@@ -8,7 +8,7 @@ import pytest
 
 from rvqtok import cli
 from rvqtok.cli import SUBCOMMANDS, _build_parser, cmd
-from rvqtok.config import CONFIG_SCHEMA, load_config
+from rvqtok.config import CONFIG_SCHEMA, MINIMUMS, PROFILES, load_config
 from rvqtok.errors import ConfigError
 from rvqtok.signals import SynthSpec, save_recording, synth_generate
 
@@ -82,6 +82,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(overrides=["model.w"])
 
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_profile_names_exactly_the_schema_keys(self, profile):
+        keys = {(sec, key) for sec, kv in CONFIG_SCHEMA.items() for key in kv}
+        assert {(sec, key) for sec, kv in PROFILES[profile].items()
+                for key in kv} == keys
+        assert set(MINIMUMS) <= keys
+
 
 class TestHelpCoverage:
     def test_help_lists_every_subcommand_and_config_key(self, capsys):
@@ -104,13 +111,24 @@ class TestCommands:
 
     @pytest.mark.parametrize("override", ["synth.channels=5",
                                           "train.slots_per_window=16",
-                                          "train.pretrain_slots_per_window=16"])
-    def test_out_of_range_config_exit_1_without_outputs(self, tmp_path, override):
+                                          "train.pretrain_slots_per_window=16",
+                                          "model.heads=0", "model.mlp_dim=0",
+                                          "synth.duration=0.01", "model.d_c=0",
+                                          "model.D=0", "train.batch_size=0",
+                                          "train.slots_per_window=0",
+                                          "model.encoder_depth=-1",
+                                          "train.tokenizer_epochs=-1",
+                                          "train.tokenizer_warmup_epochs=-1",
+                                          "synth.components_per_band=-1",
+                                          "train.commitment_beta=-0.25"])
+    def test_out_of_range_config_exit_1_without_outputs(self, tmp_path, capsys,
+                                                        override):
         # MICRO has 4 electrode rows and the desk profile's 8 slot rows
         out = tmp_path / "out"
         assert cmd(["train-tokenizer", "--out-dir", str(out), *MICRO,
                     "--set", override]) == 1
         assert not out.exists() or not any(out.rglob("*"))
+        assert override.split("=")[0] in capsys.readouterr().err
 
     def test_recordings_beyond_electrode_rows_exit_1_without_outputs(self, tmp_path):
         # two 6-channel recordings, but MICRO sizes the channel table at 4

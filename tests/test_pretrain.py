@@ -323,7 +323,7 @@ def test_desk_models_run_in_float64(monkeypatch):
     tokenizer, backbone = tk.TokenizerModel(tc, seed=0), pt.BackboneModel(pc, seed=0)
     params = [p for model in (tokenizer, backbone) for p in model.params()]
 
-    tk.train_step(batch, tokenizer, tk.TrainState(total_steps=1, warmup_steps=0))
+    tk.train_step(batch, tokenizer, lr=1e-3, weight_decay=1e-4)
     rng = np.random.default_rng(0)
     teacher = rng.integers(0, pc.codebook_size, size=(W, P, pc.encoder.S, pc.levels))
     masks = np.stack([make_symmetric_masks(P, pc.mask_ratio, rng).mask

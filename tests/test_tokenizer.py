@@ -7,9 +7,10 @@ import pytest
 
 from rvqtok.encoder import EncoderConfig
 from rvqtok.errors import CompatibilityError, ConfigError, NumericError
+from rvqtok.optim import cosine_warmup_lr
 from rvqtok.signals import Recording, SynthSpec, synth_generate
 from rvqtok.tokenizer import (TokenizerConfig, TokenizerModel,
-                              TrainState, build_windows, eval_per_band,
+                              build_windows, eval_per_band,
                               evaluate, load_tokenizer, save_tokenizer,
                               train_step, train_tokenizer)
 
@@ -144,33 +145,47 @@ class TestTrainStep:
         recs = tiny_corpus()
         wins = build_windows(recs, 16, 2, val_fraction=0.0)
         batch = wins.subset(np.arange(wins.n_windows) < 4)
-        state = TrainState(total_steps=10, warmup_steps=2, base_lr=1e-3)
-        return model, batch, state
+        return model, batch
 
     def test_identical_runs_identical_losses(self):
         traces = []
         for _ in range(2):
-            model, batch, state = self._setup()
-            trace = [train_step(batch, model, state)["total"] for _ in range(2)]
+            model, batch = self._setup()
+            trace = [train_step(batch, model, cosine_warmup_lr(step, 10, 2, 1e-3, 1e-5),
+                                1e-4)["total"] for step in range(2)]
             traces.append(trace)
         assert traces[0] == traces[1]
 
     def test_loss_decomposition(self):
-        model, batch, state = self._setup()
-        parts = train_step(batch, model, state)
+        model, batch = self._setup()
+        parts = train_step(batch, model, 5e-4, 1e-4)
         total = parts["log_amp"] + parts["unit"] + parts["temporal"] + parts["lq"]
         assert abs(parts["total"] - total) < 1e-9
 
     def test_warmup_lr_below_base(self):
-        state = TrainState(total_steps=100, warmup_steps=10, base_lr=5e-5)
-        assert state.lr() < 5e-5
+        assert cosine_warmup_lr(0, 100, 10, 5e-5, 1e-5) < 5e-5
+
+    @pytest.mark.parametrize("total, warmup", [(100, 10), (7, 1), (12, 5)])
+    def test_schedule_endpoints(self, total, warmup):
+        base, floor = 3e-3, 1e-5
+        ramp = [cosine_warmup_lr(s, total, warmup, base, floor) for s in range(warmup)]
+        assert ramp == sorted(ramp) and ramp[-1] == pytest.approx(base, rel=1e-12)
+        assert cosine_warmup_lr(warmup, total, warmup, base,
+                                floor) == pytest.approx(base, rel=1e-12)
+        assert cosine_warmup_lr(total, total, warmup, base, floor) == floor
+        assert cosine_warmup_lr(total + 5, total, warmup, base, floor) == floor
+
+    @pytest.mark.parametrize("total", [0, -3])
+    def test_schedule_without_steps_is_base(self, total):
+        assert cosine_warmup_lr(0, total, 2, 3e-3, 1e-5) == 3e-3
+        assert cosine_warmup_lr(9, total, 0, 3e-3, 1e-5) == 3e-3
 
     def test_nonfinite_loss_aborts_with_diagnostics(self):
-        model, batch, state = self._setup()
+        model, batch = self._setup()
         model.head_log_amp.w.tensor.data = np.full_like(
             model.head_log_amp.w.data, np.nan)
         with pytest.raises(NumericError) as err:
-            train_step(batch, model, state)
+            train_step(batch, model, 5e-4, 1e-4)
         assert "log_amp" in str(err.value)
 
 
@@ -211,11 +226,15 @@ class TestTrainTokenizer:
         recs = tiny_corpus(n=1, channels=2, seconds=2.0)
         wins = build_windows(recs, 16, 2, val_fraction=0.0)
         batch = wins.subset(np.arange(wins.n_windows) < 4)
-        state = TrainState(total_steps=1000, warmup_steps=20, base_lr=3e-3)
-        first = train_step(batch, model, state)["total"]
+
+        def step(i):
+            lr = cosine_warmup_lr(i, 1000, 20, 3e-3, 1e-5)
+            return train_step(batch, model, lr, 1e-4)["total"]
+
+        first = step(0)
         final = first
-        for _ in range(999):
-            final = train_step(batch, model, state)["total"]
+        for i in range(1, 1000):
+            final = step(i)
             if final < 0.1 * first:
                 break
         assert final < 0.1 * first, f"{final} vs initial {first}"
