@@ -41,7 +41,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .errors import CompatibilityError, ParseError
+from .errors import CompatibilityError, ConfigError, ParseError, ShapeError
 
 MAGIC = b"RVQTCKPT"
 FORMAT_VERSION = 1
@@ -156,18 +156,28 @@ def restore(path: str | Path, kind: str,
     """Load a checkpoint of ``kind`` into a model built from its config.
 
     ``build(config)`` returns the model and its float64 destination arrays
-    by stored name.  Every destination must be stored with its shape, or a
-    CompatibilityError names it; each stored array is then converted into
-    its destination in place, and stored arrays without one are skipped.
-    A stored array with a NaN or infinite value raises a ParseError naming
-    it, before it is copied.
+    by stored name.  A config field it looks up and does not find raises a
+    CompatibilityError naming the field, and a field of the wrong type or
+    value a ParseError naming the path.  Every destination must be stored
+    with its shape, or a CompatibilityError names it; each stored array is
+    then converted into its destination in place, and stored arrays without
+    one are skipped.  A stored array with a NaN or infinite value raises a
+    ParseError naming it, before it is copied.
     """
     path = Path(path)
     with _payload(path) as (fh, stored_kind, config, manifest):
         if stored_kind != kind:
             raise CompatibilityError(
                 f"checkpoint kind {stored_kind!r}, expected {kind!r}")
-        model, dests = build(config)
+        try:
+            model, dests = build(config)
+        except KeyError as exc:
+            raise CompatibilityError(
+                f"checkpoint missing config field {exc.args[0]!r}") from None
+        except (CompatibilityError, ConfigError, ShapeError):
+            raise  # already names what is wrong
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: malformed config header ({exc})") from None
         shapes = dict(manifest)
         for name, dest in dests.items():
             if name not in shapes:

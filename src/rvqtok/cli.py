@@ -188,14 +188,14 @@ def _corpus(cfg: RunConfig) -> list[Recording]:
         for i in range(s["recordings"])]
 
 
-def _train_tokenizer_from(cfg: RunConfig, recordings, levels=None, epochs=None):
+def _train_tokenizer_from(cfg: RunConfig, recordings, levels=None):
     t = cfg.values["train"]
     tok_cfg = cfg.tokenizer_config()
     if levels is not None:
         tok_cfg.levels = levels
     return train_tokenizer(
         recordings, tok_cfg,
-        epochs=t["tokenizer_epochs"] if epochs is None else epochs,
+        epochs=t["tokenizer_epochs"],
         slots_per_window=t["slots_per_window"], batch_size=t["batch_size"],
         base_lr=t["tokenizer_lr"], min_lr=t["tokenizer_min_lr"],
         weight_decay=t["tokenizer_weight_decay"],

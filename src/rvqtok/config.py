@@ -115,16 +115,22 @@ PAPER_PROFILE: dict[str, dict] = {
 PROFILES = {"desk": DESK_PROFILE, "paper": PAPER_PROFILE}
 
 #: (section, key) -> least valid value.  Sizes and counts that index, divide
-#: or allocate start at 1; depths, epoch counts and loss weights start at 0.
+#: or allocate start at 1; depths, epoch counts, loss weights, learning rates
+#: and their floors, weight decays and layer-scale inits start at 0.
 MINIMUMS: dict[tuple[str, str], float] = {
     ("model", "w"): 2, ("model", "D"): 1, ("model", "S"): 1, ("model", "N"): 1,
     ("model", "K"): 1, ("model", "d_c"): 1, ("model", "heads"): 1,
     ("model", "mlp_dim"): 1, ("model", "encoder_depth"): 0,
     ("model", "decoder_depth"): 0, ("model", "backbone_depth"): 0,
+    ("model", "layer_scale_init"): 0, ("model", "backbone_layer_scale_init"): 0,
     ("train", "lambda_circle"): 0, ("train", "commitment_beta"): 0,
     ("train", "tokenizer_epochs"): 0, ("train", "tokenizer_warmup_epochs"): 0,
+    ("train", "tokenizer_lr"): 0, ("train", "tokenizer_min_lr"): 0,
+    ("train", "tokenizer_weight_decay"): 0,
     ("train", "batch_size"): 1, ("train", "slots_per_window"): 1,
     ("train", "pretrain_epochs"): 0, ("train", "pretrain_warmup_epochs"): 0,
+    ("train", "pretrain_lr"): 0, ("train", "pretrain_min_lr"): 0,
+    ("train", "pretrain_weight_decay"): 0,
     ("train", "pretrain_batch_size"): 1, ("train", "pretrain_slots_per_window"): 1,
     ("synth", "recordings"): 1, ("synth", "channels"): 1,
     ("synth", "components_per_band"): 0,
@@ -190,8 +196,14 @@ class RunConfig:
             raise ConfigError("model.w must be even (spectral targets need w/2+1 bins)")
         if m["D"] % m["heads"] != 0:
             raise ConfigError("model.D must be divisible by model.heads")
-        if not 0.0 < t["mask_ratio"] < 1.0:
-            raise ConfigError("train.mask_ratio must lie strictly between 0 and 1")
+        for key in ("mask_ratio", "ema_decay"):
+            if not 0.0 < t[key] < 1.0:
+                raise ConfigError(f"train.{key} must lie strictly between 0 and 1, "
+                                  f"got {t[key]}")
+        for base, floor in (("tokenizer_lr", "tokenizer_min_lr"),
+                            ("pretrain_lr", "pretrain_min_lr")):
+            if t[floor] > t[base]:
+                raise ConfigError(f"train.{floor} {t[floor]} exceeds train.{base} {t[base]}")
         if s["channels"] > m["n_electrodes"]:
             raise ConfigError(f"synth.channels {s['channels']} exceeds "
                               f"model.n_electrodes {m['n_electrodes']}")
@@ -209,13 +221,6 @@ def _parse_value(section: str, key: str, raw: str):
         raise ConfigError(f"unknown config key [{section}] {key}")
     typ = CONFIG_SCHEMA[section][key][0]
     try:
-        if typ is bool:
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
         return typ(raw)
     except ValueError:
         raise ConfigError(

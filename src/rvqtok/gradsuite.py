@@ -202,7 +202,7 @@ def check_composed_tokenizer_loss() -> float:
         quantized, _, lq = model.quantize_branches(reps, forced=frozen,
                                                    identity_codes=True)
         pred = model.decode(quantized)
-        total, _ = tokenizer_loss(pred, target, patches, model.cfg.loss_weights())
+        total, _ = tokenizer_loss(pred, target, patches, model.cfg.lambda_circle)
         return ad.add(total, lq)
 
     worst = 0.0

@@ -19,7 +19,7 @@ from .autodiff import Tape, Tensor, backward
 from .checkpoint import ZeroDraws, require_field, restore, save_arrays
 from .encoder import (EncoderConfig, Linear, MultiScaleEncoder, encoder_from_snapshot,
                       encoder_snapshot)
-from .errors import CompatibilityError, ConfigError, NumericError
+from .errors import ConfigError, NumericError
 from .optim import Parameter, adamw_step, cosine_warmup_lr
 from .signals import Recording
 from .tokenizer import (INFERENCE_BATCH, TokenizerModel, WindowSet, build_windows,
@@ -104,10 +104,6 @@ class BackboneModel:
             for head in row:
                 out.extend(head.params())
         return out
-
-    def zero_grads(self) -> None:
-        for p in self.params():
-            p.zero_grad()
 
     def forward(self, patches: np.ndarray, channel_idx: np.ndarray,
                 slot_idx: np.ndarray, mask: np.ndarray | None = None
@@ -219,7 +215,8 @@ def pretrain_step(batch: WindowSet, masks: np.ndarray, backbone: BackboneModel,
         raise NumericError(f"non-finite pretraining loss: {loss_val}")
     backward(tape, total)
     adamw_step(params, lr=lr, weight_decay=backbone.cfg.weight_decay)
-    backbone.zero_grads()
+    for p in params:
+        p.zero_grad()
     acc = (correct_a + correct_b) / (heads * (masked_a + masked_b))
     return loss_val, acc
 
@@ -257,16 +254,11 @@ def pretrain(dataset: list[Recording], cfg: PretrainConfig,
     if train_set.n_windows == 0:
         raise ConfigError("no training windows after the validation split")
     backbone = BackboneModel(cfg, seed=cfg.seed)
-    t_slots = cfg.teacher_slots or cfg.slots_per_window
-    if t_slots == cfg.slots_per_window:
-        teacher_train = teacher_tokens(train_set, tokenizer)
-        teacher_val = teacher_tokens(val_set, tokenizer) if val_set.n_windows else None
-    else:
-        tw = build_windows(dataset, cfg.encoder.w, t_slots)
-        t_idx = teacher_tokens(tw, tokenizer)
-        teacher_train = align_teacher(train_set, tw, t_idx)
-        teacher_val = (align_teacher(val_set, tw, t_idx)
-                       if val_set.n_windows else None)
+    tw = build_windows(dataset, cfg.encoder.w,
+                       cfg.teacher_slots or cfg.slots_per_window)
+    t_idx = teacher_tokens(tw, tokenizer)
+    teacher_train = align_teacher(train_set, tw, t_idx)
+    teacher_val = align_teacher(val_set, tw, t_idx) if val_set.n_windows else None
     steps_per_epoch = math.ceil(train_set.n_windows / cfg.batch_size)
     total_steps = max(1, cfg.epochs * steps_per_epoch)
     warmup_steps = cfg.warmup_epochs * steps_per_epoch
@@ -413,8 +405,6 @@ def save_backbone(backbone: BackboneModel, path) -> None:
 
 def load_backbone(path) -> BackboneModel:
     def build(snap: dict):
-        if "slots_per_window" not in snap:
-            raise CompatibilityError("checkpoint missing config field 'slots_per_window'")
         cfg = PretrainConfig(encoder=encoder_from_snapshot(snap), levels=snap["levels"],
                              codebook_size=snap["codebook_size"],
                              mask_ratio=snap["mask_ratio"],

@@ -39,17 +39,6 @@ class PhasePrediction:
     cos_hat: Tensor | np.ndarray
 
 
-@dataclass
-class LossWeights:
-    """Weights for the composite tokenizer objective."""
-
-    lambda_circle: float = 0.4
-
-    def __post_init__(self):
-        if self.lambda_circle < 0:
-            raise ConfigError("lambda_circle must be non-negative")
-
-
 def _one_sided_scale(w: int) -> np.ndarray:
     s = np.full(w // 2 + 1, 2.0 / w)
     s[0] = 1.0 / w
@@ -67,35 +56,6 @@ def forward_spectrum(patch: np.ndarray) -> SpectralTarget:
     amp = _one_sided_scale(w) * np.abs(z)
     phi = np.angle(z)
     return SpectralTarget(np.log1p(amp), np.sin(phi), np.cos(phi), w)
-
-
-def inverse_spectrum(target: SpectralTarget | PhasePrediction,
-                     patch_length: int | None = None) -> np.ndarray:
-    """Rebuild the waveform from log-amplitude and sine/cosine phase.
-
-    Amplitudes are clamped at zero (unconstrained predictions can imply
-    exp(log_amp)-1 < 0).  Accepts predictions as well; Tensor fields are
-    read as plain values.
-    """
-    if isinstance(target, SpectralTarget):
-        la, sin_p, cos_p = target.log_amp, target.sin_phase, target.cos_phase
-        w = target.patch_length
-    else:
-        la = _value(target.log_amp_hat)
-        sin_p = _value(target.sin_hat)
-        cos_p = _value(target.cos_hat)
-        if patch_length is None:
-            raise ConfigError("patch_length required when inverting a prediction")
-        w = patch_length
-    la = np.asarray(la, dtype=np.float64)
-    amp = np.maximum(np.expm1(la), 0.0)
-    coeff = amp / _one_sided_scale(w)
-    z = coeff * (np.asarray(cos_p) + 1j * np.asarray(sin_p))
-    return np.fft.irfft(z, n=w, axis=-1)
-
-
-def _value(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 
 def chord_loss(phi1, phi2):
@@ -136,7 +96,11 @@ def unit_circle_loss(pred: PhasePrediction, target: SpectralTarget,
 
 def _inverse_spectrum_graph(log_amp: Tensor, sin_hat: Tensor, cos_hat: Tensor,
                             w: int) -> Tensor:
-    """Differentiable waveform reconstruction used by the temporal loss term."""
+    """Differentiable waveform reconstruction used by the temporal loss term.
+
+    Amplitudes are clamped at zero (unconstrained predictions can imply
+    exp(log_amp)-1 < 0).
+    """
     amp = ad.clamp_min(ad.expm1(log_amp), 0.0)
     inv_scale = Tensor(1.0 / _one_sided_scale(w))
     coeff = ad.mul(amp, inv_scale)
@@ -145,15 +109,33 @@ def _inverse_spectrum_graph(log_amp: Tensor, sin_hat: Tensor, cos_hat: Tensor,
     return ad.irfft_onesided(re, im, w)
 
 
+def inverse_spectrum(target: SpectralTarget | PhasePrediction,
+                     patch_length: int | None = None) -> np.ndarray:
+    """Rebuild the waveform from log-amplitude and sine/cosine phase.
+
+    The same reconstruction the temporal loss term differentiates, read as
+    plain values; outside a tape it records nothing.
+    """
+    if isinstance(target, SpectralTarget):
+        fields = (target.log_amp, target.sin_phase, target.cos_phase)
+        w = target.patch_length
+    else:
+        fields = (target.log_amp_hat, target.sin_hat, target.cos_hat)
+        if patch_length is None:
+            raise ConfigError("patch_length required when inverting a prediction")
+        w = patch_length
+    la, sin_p, cos_p = (ad._as_tensor(f) for f in fields)
+    return _inverse_spectrum_graph(la, sin_p, cos_p, w).data
+
+
 def tokenizer_loss(pred: PhasePrediction, target: SpectralTarget, x: np.ndarray,
-                   weights: LossWeights | None = None) -> tuple[Tensor, dict[str, float]]:
+                   lambda_circle: float = 0.4) -> tuple[Tensor, dict[str, float]]:
     """Composite reconstruction objective (quantization loss added by the caller).
 
     Returns the scalar total and a per-term breakdown for logging:
     log-amplitude MSE, unit-circle phase loss, and the temporal MSE between
     the rebuilt waveform and the input patch.
     """
-    weights = weights or LossWeights()
     la_hat = ad._as_tensor(pred.log_amp_hat)
     sin_hat = ad._as_tensor(pred.sin_hat)
     cos_hat = ad._as_tensor(pred.cos_hat)
@@ -166,7 +148,7 @@ def tokenizer_loss(pred: PhasePrediction, target: SpectralTarget, x: np.ndarray,
         raise ShapeError(f"patch length {x.shape[-1]} != target length {w}")
 
     log_amp_term = ad.tmean(ad.square(ad.sub(la_hat, Tensor(target.log_amp))))
-    unit_term = unit_circle_loss(pred, target, weights.lambda_circle)
+    unit_term = unit_circle_loss(pred, target, lambda_circle)
     recon = _inverse_spectrum_graph(la_hat, sin_hat, cos_hat, w)
     temporal_term = ad.tmean(ad.square(ad.sub(recon, Tensor(x))))
     total = ad.add(ad.add(log_amp_term, unit_term), temporal_term)

@@ -26,8 +26,8 @@ from .optim import Parameter, adamw_step, clip_global_norm, cosine_warmup_lr
 from .rvq import (RVQStack, TokenAssignment, begin_epoch, end_epoch_reinit,
                   ema_update, kmeans_init_stack, quantization_loss)
 from .signals import Recording, bandpass, STANDARD_BANDS
-from .spectral import (LossWeights, PhasePrediction, forward_spectrum,
-                       inverse_spectrum, tokenizer_loss)
+from .spectral import (PhasePrediction, forward_spectrum, inverse_spectrum,
+                       tokenizer_loss)
 
 
 @dataclass
@@ -44,13 +44,12 @@ class TokenizerConfig:
     def __post_init__(self):
         if self.levels < 1:
             raise ConfigError("levels must be at least 1")
+        if self.lambda_circle < 0:
+            raise ConfigError("lambda_circle must be non-negative")
 
     @property
     def n_bins(self) -> int:
         return self.encoder.w // 2 + 1
-
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(lambda_circle=self.lambda_circle)
 
 
 class TokenizerModel:
@@ -84,10 +83,6 @@ class TokenizerModel:
         for head in (self.head_log_amp, self.head_sin, self.head_cos):
             out.extend(head.params())
         return out
-
-    def zero_grads(self) -> None:
-        for p in self.params():
-            p.zero_grad()
 
     # ------------------------------------------------------------------
     def quantize_branches(self, reps: list[Tensor],
@@ -284,7 +279,7 @@ def train_step(batch: WindowSet, model: TokenizerModel, lr: float,
                                           batch.slot_idx)
         target = forward_spectrum(batch.patches)
         total, parts = tokenizer_loss(pred, target, batch.patches,
-                                      model.cfg.loss_weights())
+                                      model.cfg.lambda_circle)
         parts["lq"] = lq.item()
         total = ad.add(total, lq)
         parts["total"] = total.item()
@@ -293,7 +288,8 @@ def train_step(batch: WindowSet, model: TokenizerModel, lr: float,
     backward(tape, total)
     clip_global_norm(params, CLIP_NORM)
     adamw_step(params, lr=lr, weight_decay=weight_decay)
-    model.zero_grads()
+    for p in params:
+        p.zero_grad()
     for stack, assign in zip(model.stacks, assigns):
         for i, book in enumerate(stack.codebooks):
             ema_update(book, assign.indices[:, i], assign.level_inputs[i],
@@ -303,28 +299,28 @@ def train_step(batch: WindowSet, model: TokenizerModel, lr: float,
 
 def evaluate(model: TokenizerModel, windows: WindowSet,
              batch_size: int = INFERENCE_BATCH) -> dict[str, float]:
-    """Loss terms plus raw reconstruction MSE over a window set (no grads)."""
+    """Loss terms plus raw reconstruction MSE over a window set (no grads).
+
+    ``raw_mse`` is the temporal term: the mean square of the reconstruction
+    error, averaged over windows.
+    """
     if windows.n_windows == 0:
         raise ConfigError("cannot evaluate on an empty window set")
     sums: dict[str, float] = {}
-    total_raw = 0.0
     n = 0
     for _, chunk in windows.batches(batch_size):
         pred, _, lq = model.forward(chunk.patches, chunk.channel_idx, chunk.slot_idx)
         target = forward_spectrum(chunk.patches)
         _, parts = tokenizer_loss(pred, target, chunk.patches,
-                                  model.cfg.loss_weights())
+                                  model.cfg.lambda_circle)
         parts["lq"] = lq.item()
         parts["total"] += parts["lq"]
-        recon = inverse_spectrum(pred, patch_length=model.cfg.encoder.w)
-        raw = float(np.mean((recon - chunk.patches) ** 2))
         k = chunk.n_windows
         for key, v in parts.items():
             sums[key] = sums.get(key, 0.0) + v * k
-        total_raw += raw * k
         n += k
     out = {key: v / n for key, v in sums.items()}
-    out["raw_mse"] = total_raw / n
+    out["raw_mse"] = out["temporal"]
     return out
 
 

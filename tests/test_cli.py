@@ -7,10 +7,15 @@ import numpy as np
 import pytest
 
 from rvqtok import cli
+from rvqtok.checkpoint import load_arrays, save_arrays
 from rvqtok.cli import SUBCOMMANDS, _build_parser, cmd
 from rvqtok.config import CONFIG_SCHEMA, MINIMUMS, PROFILES, load_config
 from rvqtok.errors import ConfigError
+from rvqtok.pretrain import BackboneModel, save_backbone
 from rvqtok.signals import SynthSpec, save_recording, synth_generate
+from rvqtok.tokenizer import TokenizerModel, save_tokenizer
+from tests.test_pretrain import tiny_pretrain_config
+from tests.test_tokenizer import tiny_config
 
 # micro settings that make training commands run in seconds
 MICRO = [
@@ -120,7 +125,18 @@ class TestCommands:
                                           "train.tokenizer_epochs=-1",
                                           "train.tokenizer_warmup_epochs=-1",
                                           "synth.components_per_band=-1",
-                                          "train.commitment_beta=-0.25"])
+                                          "train.commitment_beta=-0.25",
+                                          "train.ema_decay=1.5",
+                                          "train.ema_decay=0",
+                                          "train.tokenizer_lr=-1",
+                                          "train.pretrain_lr=-1",
+                                          "train.tokenizer_weight_decay=-1",
+                                          "train.pretrain_weight_decay=-1",
+                                          "train.tokenizer_min_lr=-1",
+                                          "train.tokenizer_min_lr=1",
+                                          "train.pretrain_min_lr=1",
+                                          "model.layer_scale_init=-1",
+                                          "model.backbone_layer_scale_init=-1"])
     def test_out_of_range_config_exit_1_without_outputs(self, tmp_path, capsys,
                                                         override):
         # MICRO has 4 electrode rows and the desk profile's 8 slot rows
@@ -157,6 +173,32 @@ class TestCommands:
         out = tmp_path / "file" / "x"
         assert cmd(["synth-gen", "--out-dir", str(out), *MICRO]) == 1
         assert "Not a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, damage", [
+        ("tokenizer", "levels"), ("tokenizer", "kernels"), ("tokenizer", "text"),
+        ("backbone", "levels"), ("backbone", "kernels"),
+        ("backbone", "slots_per_window"), ("backbone", "text")])
+    def test_malformed_checkpoint_header_exit_1_without_outputs(self, tmp_path,
+                                                                capsys, kind, damage):
+        path = tmp_path / "model.ckpt"
+        if kind == "tokenizer":
+            save_tokenizer(TokenizerModel(tiny_config(), seed=0), path)
+        else:
+            save_backbone(BackboneModel(tiny_pretrain_config(), seed=0), path)
+        stored_kind, snap, arrays = load_arrays(path)
+        if damage == "text":
+            snap["levels"] = "two"
+            message = f"{path}: malformed config header"
+        else:
+            del (snap["branches"][0] if damage == "kernels" else snap)[damage]
+            message = f"checkpoint missing config field '{damage}'"
+        save_arrays(path, stored_kind, snap, arrays)
+        command, flag = ("tokenize", "--checkpoint") if kind == "tokenizer" \
+            else ("probe", "--backbone")
+        out = tmp_path / "out" / command
+        assert cmd([command, flag, str(path), "--out-dir", str(out), *MICRO]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_checkpoint_that_is_a_directory_exit_1_without_outputs(self, tmp_path,
                                                                     capsys):

@@ -28,6 +28,17 @@ def tiny_pretrain_config(w=16, S=2, levels=2, K=16, depth=1, **kw):
                           batch_size=2, slots_per_window=2, **kw)
 
 
+def _patch_keys(windows):
+    """(recording, channel row, absolute slot) of every patch, window-major."""
+    keys = np.stack([windows.rec_idx, windows.channel_idx, windows.abs_slot], axis=-1)
+    return list(map(tuple, keys.reshape(-1, 3).tolist()))
+
+
+def _tokens_by_patch(windows, tokens):
+    """Each patch's (S, N) tokens keyed by :func:`_patch_keys`."""
+    return dict(zip(_patch_keys(windows), tokens.reshape(-1, *tokens.shape[2:])))
+
+
 class TestMaskPlans:
     def test_half_ratio_counts(self):
         plan = make_symmetric_masks(10, 0.5, seed=1)
@@ -200,6 +211,65 @@ class TestPretrainLoop:
         a = pretrain(recs, cfg, tok_model).curves
         b = pretrain(recs, cfg, tok_model).curves
         assert a == b
+
+    @staticmethod
+    def _run_checking_labels(monkeypatch, recs, cfg, tok_model, by_patch):
+        """Run ``pretrain``, check that every training batch and the
+        validation set used the tokens ``by_patch`` holds for their patches,
+        and return the curves."""
+        import rvqtok.pretrain as pt
+
+        seen = []
+        real_step, real_metrics = pt.pretrain_step, pt.masked_metrics
+
+        def check(windows, teacher):
+            want = np.stack([by_patch[k] for k in _patch_keys(windows)])
+            np.testing.assert_array_equal(teacher.reshape(want.shape), want)
+            seen.append(windows.n_windows)
+
+        def step(batch, masks, backbone, teacher, lr):
+            check(batch, teacher)
+            return real_step(batch, masks, backbone, teacher, lr)
+
+        def metrics(backbone, windows, teacher, *args, **kwargs):
+            check(windows, teacher)
+            return real_metrics(backbone, windows, teacher, *args, **kwargs)
+
+        monkeypatch.setattr(pt, "pretrain_step", step)
+        monkeypatch.setattr(pt, "masked_metrics", metrics)
+        curves = pt.pretrain(recs, cfg, tok_model).curves
+        windows = build_windows(recs, 16, cfg.slots_per_window)
+        assert sum(seen) == cfg.epochs * windows.n_windows
+        return curves
+
+    @pytest.mark.parametrize("teacher_slots", [None, 2])
+    def test_equal_window_lengths_train_on_direct_teacher_tokens(
+            self, trained_pair, monkeypatch, teacher_slots):
+        recs, tok_model = trained_pair
+        cfg = tiny_pretrain_config(epochs=1, seed=0, teacher_slots=teacher_slots)
+        windows = build_windows(recs, 16, cfg.slots_per_window)
+        assert windows.val.n_windows > 0
+        # the oracle tokenizes the train and val sets directly
+        by_patch = {**_tokens_by_patch(windows.train,
+                                       teacher_tokens(windows.train, tok_model)),
+                    **_tokens_by_patch(windows.val,
+                                       teacher_tokens(windows.val, tok_model))}
+        self._run_checking_labels(monkeypatch, recs, cfg, tok_model, by_patch)
+
+    @pytest.mark.parametrize("slots,teacher_slots", [(2, 4), (4, 2)])
+    def test_other_teacher_window_length_trains_end_to_end(
+            self, trained_pair, monkeypatch, slots, teacher_slots):
+        recs, tok_model = trained_pair
+        cfg = tiny_pretrain_config(epochs=2, seed=0, teacher_slots=teacher_slots)
+        cfg.slots_per_window = slots
+        # every patch trains on the tokens of the same patch in the
+        # tokenizer's own windowing
+        tw = build_windows(recs, 16, teacher_slots, val_fraction=0.0)
+        by_patch = _tokens_by_patch(tw, teacher_tokens(tw, tok_model))
+        curves = self._run_checking_labels(monkeypatch, recs, cfg, tok_model,
+                                           by_patch)
+        assert [r["epoch"] for r in curves if r["split"] == "train"] == [1, 2]
+        assert all(math.isfinite(r["ce_loss"]) for r in curves)
 
     def test_teacher_indices_stable_across_epochs(self, trained_pair):
         recs, tok_model = trained_pair

@@ -235,14 +235,24 @@ class TestTokenizerLoss:
             assert grad_check(make(field), Tensor(start)) < 1e-4
 
     def test_inverse_graph_matches_plain_inverse(self):
-        rng = np.random.default_rng(19)
-        la = np.abs(rng.normal(size=33)) * 0.5
-        sin_p = rng.normal(size=33)
-        cos_p = rng.normal(size=33)
-        from rvqtok.spectral import _inverse_spectrum_graph
-        graph = _inverse_spectrum_graph(Tensor(la), Tensor(sin_p), Tensor(cos_p), 64)
-        plain = inverse_spectrum(PhasePrediction(la, sin_p, cos_p), patch_length=64)
-        np.testing.assert_allclose(graph.data, plain, atol=1e-12)
+        # an independent numpy inverse, expm1(la) / scale * (cos + i sin):
+        # bit-equal at w = 64, where every one-sided scale is a power of two,
+        # and equal to rounding at w = 200, where 1 / scale is not exact
+        for w, exact in ((64, True), (200, False)):
+            nb = w // 2 + 1
+            rng = np.random.default_rng(19)
+            la = np.abs(rng.normal(size=(4, nb))) * 0.5
+            sin_p = rng.normal(size=(4, nb))
+            cos_p = rng.normal(size=(4, nb))
+            scale = np.full(nb, 2.0 / w)
+            scale[[0, -1]] = 1.0 / w
+            plain = np.fft.irfft(np.expm1(la) / scale * (cos_p + 1j * sin_p),
+                                 n=w, axis=-1)
+            got = inverse_spectrum(PhasePrediction(la, sin_p, cos_p), patch_length=w)
+            if exact:
+                np.testing.assert_array_equal(got, plain)
+            else:
+                np.testing.assert_allclose(got, plain, rtol=1e-12)
 
 
 def test_raw_phase_mse_baseline_discontinuity():

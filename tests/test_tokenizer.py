@@ -307,3 +307,18 @@ def test_evaluate_reports_raw_mse():
     metrics = evaluate(model, wins)
     assert set(metrics) >= {"log_amp", "unit", "temporal", "lq", "total", "raw_mse"}
     assert metrics["raw_mse"] >= 0.0
+
+
+def test_evaluate_raw_mse_is_the_reconstruction_mse():
+    """At desk w, raw_mse is the mean square error of ``reconstruct`` over
+    the set: exactly for one window, to rounding across batches."""
+    model = TokenizerModel(tiny_config(w=64), seed=18)
+    wins = build_windows(tiny_corpus(seconds=8.0), 64, 2, val_fraction=0.0)
+    recon = np.concatenate([model.reconstruct(c.patches, c.channel_idx, c.slot_idx)
+                            for _, c in wins.batches(2)])
+    want = np.mean((recon - wins.patches) ** 2)
+    assert evaluate(model, wins, batch_size=3)["raw_mse"] == pytest.approx(
+        want, rel=1e-12, abs=0)
+    one = wins.subset(np.arange(wins.n_windows) < 1)
+    recon = model.reconstruct(one.patches, one.channel_idx, one.slot_idx)
+    assert evaluate(model, one)["raw_mse"] == np.mean((recon - one.patches) ** 2)
