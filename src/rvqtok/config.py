@@ -7,6 +7,7 @@ key is validated against the schema below before any run starts.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -184,6 +185,11 @@ class RunConfig:
 
     def validate(self) -> None:
         m, t, s = self.values["model"], self.values["train"], self.values["synth"]
+        for section, keys in CONFIG_SCHEMA.items():
+            for key, (typ, _) in keys.items():
+                if typ is float and not math.isfinite(self.values[section][key]):
+                    raise ConfigError(f"{section}.{key} must be finite, "
+                                      f"got {self.values[section][key]}")
         for (section, key), least in MINIMUMS.items():
             if self.values[section][key] < least:
                 raise ConfigError(f"{section}.{key} must be at least {least}, "

@@ -108,15 +108,22 @@ class BackboneModel:
     def forward(self, patches: np.ndarray, channel_idx: np.ndarray,
                 slot_idx: np.ndarray, mask: np.ndarray | None = None
                 ) -> list[Tensor]:
-        """Per-branch (B, P, D) representations; masked patches' branch
-        features are replaced by the mask token before embeddings are added."""
+        """Per-branch (V * B, P, D) representations in view-major order for a
+        (B, P) mask (V = 1) or a stack of V views (V, B, P).  The branch
+        features are computed once for all views; masked patches' features
+        are replaced by the mask token before the embeddings are added."""
         t = ad._as_tensor(patches)
         features = self.encoder.branch_features(t)  # (S, B, P, w)
         if mask is not None:
-            keep = Tensor((~mask)[..., None])
-            hide = Tensor(mask[..., None])
-            token = ad.reshape(self.mask_token.tensor, (1, 1, self.cfg.encoder.w))
-            features = ad.add(ad.mul(features, keep), ad.mul(token, hide))
+            S, B, P, w = features.shape
+            hide = np.asarray(mask, dtype=bool).reshape(-1, B, P)[..., None]
+            V = hide.shape[0]
+            # (S, 1, B, P, w) against (V, B, P, 1): the broadcast's backward
+            # sums the views' gradients into the shared features
+            features = ad.add(ad.mul(ad.reshape(features, (S, 1, B, P, w)), Tensor(~hide)),
+                              ad.mul(self.mask_token.tensor, Tensor(hide)))
+            features = ad.reshape(features, (S, V * B, P, w))
+            channel_idx, slot_idx = np.tile(channel_idx, (V, 1)), np.tile(slot_idx, (V, 1))
         return self.encoder.forward(t, channel_idx, slot_idx, features=features)
 
 
@@ -164,52 +171,56 @@ def check_teacher_compat(tokenizer_cfg_snapshot: dict, cfg: PretrainConfig) -> N
         require_field(tokenizer_cfg_snapshot, fieldname, expected)
 
 
-def _view_loss(backbone: BackboneModel, batch: WindowSet, mask: np.ndarray,
-               teacher: np.ndarray) -> tuple[Tensor, float, int, int]:
-    """Masked-position cross entropy for one mask view.
+def _view_loss(backbone: BackboneModel, batch: WindowSet, masks: np.ndarray,
+               teacher: np.ndarray) -> tuple[Tensor, int, int, int]:
+    """Masked-position cross entropy for one (B, P) mask view or a (V, B, P)
+    stack of views, in one backbone pass.
 
-    Returns (mean CE over heads and masked positions, correct top-1 count,
-    masked position count per head, number of heads).
+    Returns (mean over views of each view's masked-position mean CE,
+    averaged over heads; correct top-1 count and masked position count per
+    head, both pooled over the views; number of heads).
     """
+    B, P = teacher.shape[:2]
+    hide = np.asarray(masks, dtype=bool).reshape(-1, B, P)
+    V = hide.shape[0]
     reps = backbone.forward(batch.patches, batch.channel_idx, batch.slot_idx,
-                            mask=mask)
-    m = mask.astype(np.float64)
-    n_masked = float(m.sum())
-    mask_t = Tensor(m)
+                            mask=hide)
+    n_masked = hide.sum(axis=(1, 2))
+    weight = Tensor((hide / (V * n_masked[:, None, None])).reshape(V * B, P))
+    hide = hide.reshape(V * B, P)
     total: Tensor | None = None
     correct = 0
     heads = 0
     for s, row in enumerate(backbone.heads):
         for n, head in enumerate(row):
             logits = head(reps[s])
-            labels = teacher[:, :, s, n]
-            ce = ad.cross_entropy_logits(logits, labels)  # (B, P)
-            masked_ce = ad.div(ad.tsum(ad.mul(ce, mask_t)),
-                               Tensor(np.asarray(n_masked)))
+            labels = np.tile(teacher[:, :, s, n], (V, 1))
+            ce = ad.cross_entropy_logits(logits, labels)  # (V * B, P)
+            masked_ce = ad.tsum(ad.mul(ce, weight))
             total = masked_ce if total is None else ad.add(total, masked_ce)
             pred_idx = np.argmax(logits.data, axis=-1)
-            correct += int(((pred_idx == labels) & mask).sum())
+            correct += int(((pred_idx == labels) & hide).sum())
             heads += 1
     mean_ce = ad.mul(Tensor(np.asarray(1.0 / heads)), total)
-    return mean_ce, correct, int(n_masked), heads
+    return mean_ce, correct, int(n_masked.sum()), heads
 
 
 def pretrain_step(batch: WindowSet, masks: np.ndarray, backbone: BackboneModel,
                   teacher: np.ndarray, lr: float) -> tuple[float, float]:
     """One update over a mask view and its complement; returns (loss, accuracy).
 
-    Loss is the mean over both views of the per-head masked cross entropy;
-    accuracy is the fraction of masked top-1 predictions matching the teacher,
-    pooled over both views.
+    Both views run as one batch through one backbone pass.  Loss is the mean
+    over both views of the per-head masked cross entropy; accuracy is the
+    fraction of masked top-1 predictions matching the teacher, pooled over
+    both views.
     """
     if masks.shape != batch.patches.shape[:2]:
         raise ConfigError(f"mask shape {masks.shape} != batch (W, P) "
                           f"{batch.patches.shape[:2]}")
     params = backbone.params()
     with Tape() as tape:
-        loss_a, correct_a, masked_a, heads = _view_loss(backbone, batch, masks, teacher)
-        loss_b, correct_b, masked_b, _ = _view_loss(backbone, batch, ~masks, teacher)
-        total = ad.mul(Tensor(np.asarray(0.5)), ad.add(loss_a, loss_b))
+        total, correct, masked, heads = _view_loss(
+            backbone, batch, np.stack([masks, ~masks]), teacher)
     loss_val = total.item()
     if not math.isfinite(loss_val):
         raise NumericError(f"non-finite pretraining loss: {loss_val}")
@@ -217,8 +228,7 @@ def pretrain_step(batch: WindowSet, masks: np.ndarray, backbone: BackboneModel,
     adamw_step(params, lr=lr, weight_decay=backbone.cfg.weight_decay)
     for p in params:
         p.zero_grad()
-    acc = (correct_a + correct_b) / (heads * (masked_a + masked_b))
-    return loss_val, acc
+    return loss_val, correct / (heads * masked)
 
 
 def masked_metrics(backbone: BackboneModel, windows: WindowSet,

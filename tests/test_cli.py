@@ -136,7 +136,13 @@ class TestCommands:
                                           "train.tokenizer_min_lr=1",
                                           "train.pretrain_min_lr=1",
                                           "model.layer_scale_init=-1",
-                                          "model.backbone_layer_scale_init=-1"])
+                                          "model.backbone_layer_scale_init=-1",
+                                          "train.tokenizer_lr=nan",
+                                          "model.layer_scale_init=nan",
+                                          "train.lambda_circle=inf",
+                                          "train.commitment_beta=nan",
+                                          "synth.duration=inf",
+                                          "synth.noise_level=nan"])
     def test_out_of_range_config_exit_1_without_outputs(self, tmp_path, capsys,
                                                         override):
         # MICRO has 4 electrode rows and the desk profile's 8 slot rows

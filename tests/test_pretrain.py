@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from rvqtok import autodiff as ad
+from rvqtok import pretrain as pt
+from rvqtok import tokenizer as tk
+from rvqtok.autodiff import Tape, Tensor, backward
 from rvqtok.checkpoint import load_arrays, save_arrays
+from rvqtok.config import load_config
 from rvqtok.encoder import EncoderConfig
 from rvqtok.errors import CompatibilityError, ConfigError
 from rvqtok.pretrain import (BackboneModel, PretrainConfig, align_teacher,
@@ -15,6 +20,7 @@ from rvqtok.pretrain import (BackboneModel, PretrainConfig, align_teacher,
                              probe_corpus, run_linear_probe, load_backbone,
                              save_backbone, teacher_tokens)
 from rvqtok.rvq import normalize_rows
+from rvqtok.signals import SynthSpec, synth_generate
 from rvqtok.tokenizer import (_config_snapshot, build_windows,
                               train_tokenizer)
 from tests.test_tokenizer import tiny_config, tiny_corpus
@@ -37,6 +43,82 @@ def _patch_keys(windows):
 def _tokens_by_patch(windows, tokens):
     """Each patch's (S, N) tokens keyed by :func:`_patch_keys`."""
     return dict(zip(_patch_keys(windows), tokens.reshape(-1, *tokens.shape[2:])))
+
+
+def desk_batch():
+    """The desk profile and a batch of its first two windows."""
+    cfg = load_config(profile="desk")
+    pc = cfg.pretrain_config()
+    recs = [synth_generate(SynthSpec(seed=s, n_channels=8, duration=2.0,
+                                     sample_rate=128.0)) for s in range(2)]
+    wins = build_windows(recs, pc.encoder.w, pc.slots_per_window, val_fraction=0.0)
+    return cfg, wins.subset(np.arange(wins.n_windows) < 2)
+
+
+def step_inputs(pc, batch, seed=0, rho=None):
+    """Random teacher tokens and symmetric masks (ratio ``rho``, default the
+    config's) for one step on ``batch``."""
+    W, P = batch.patches.shape[:2]
+    rng = np.random.default_rng(seed)
+    teacher = rng.integers(0, pc.codebook_size, size=(W, P, pc.encoder.S, pc.levels))
+    masks = np.stack([make_symmetric_masks(P, rho or pc.mask_ratio, rng).mask
+                      for _ in range(W)])
+    return teacher, masks
+
+
+@pytest.fixture
+def kept_tapes(monkeypatch):
+    """The tapes training and pretraining steps pass to backward, in order."""
+    tapes = []
+
+    def keep_tape(tape, loss):
+        tapes.append(tape)
+        return ad.backward(tape, loss)
+
+    monkeypatch.setattr(tk, "backward", keep_tape)
+    monkeypatch.setattr(pt, "backward", keep_tape)
+    return tapes
+
+
+def two_pass_step(backbone, batch, masks, teacher):
+    """Reference for the one-pass step: branch features per view, one view at
+    a time, each view's masked CE divided by its own masked count.  Returns
+    (loss, accuracy, gradient per parameter name) and leaves the parameters
+    and their gradients as they were."""
+    w = backbone.cfg.encoder.w
+    n_heads = sum(len(row) for row in backbone.heads)
+
+    def view(mask):
+        t = ad._as_tensor(batch.patches)
+        token = ad.reshape(backbone.mask_token.tensor, (1, 1, w))
+        features = ad.add(ad.mul(backbone.encoder.branch_features(t),
+                                 Tensor((~mask)[..., None])),
+                          ad.mul(token, Tensor(mask[..., None])))
+        reps = backbone.encoder.forward(t, batch.channel_idx, batch.slot_idx,
+                                        features=features)
+        n_masked = float(mask.sum())
+        total, correct = None, 0
+        for s, row in enumerate(backbone.heads):
+            for n, head in enumerate(row):
+                logits = head(reps[s])
+                labels = teacher[:, :, s, n]
+                ce = ad.cross_entropy_logits(logits, labels)
+                masked_ce = ad.div(ad.tsum(ad.mul(ce, Tensor(mask.astype(float)))),
+                                   Tensor(np.asarray(n_masked)))
+                total = masked_ce if total is None else ad.add(total, masked_ce)
+                correct += int(((logits.data.argmax(-1) == labels) & mask).sum())
+        return ad.mul(Tensor(np.asarray(1.0 / n_heads)), total), correct, n_masked
+
+    with Tape() as tape:
+        loss_a, correct_a, masked_a = view(masks)
+        loss_b, correct_b, masked_b = view(~masks)
+        total = ad.mul(Tensor(np.asarray(0.5)), ad.add(loss_a, loss_b))
+    backward(tape, total)
+    grads = {p.name: p.tensor.grad for p in backbone.params()}
+    for p in backbone.params():
+        p.zero_grad()
+    acc = (correct_a + correct_b) / (n_heads * (masked_a + masked_b))
+    return total.item(), acc, grads
 
 
 class TestMaskPlans:
@@ -193,6 +275,100 @@ class TestPretrainStep:
         teacher = teacher_tokens(batch, tok_model)
         with pytest.raises(ConfigError):
             pretrain_step(batch, np.zeros((1, 4), bool), backbone, teacher, lr=1e-3)
+
+
+class TestOnePassStep:
+    """The step computes the branch features once and runs the mask view and
+    its complement through the backbone as one batch."""
+
+    @staticmethod
+    def _tiny_batch():
+        recs = tiny_corpus(n=2, channels=2, seconds=4.0, seed=41)
+        wins = build_windows(recs, 16, 2, val_fraction=0.0)
+        return wins.subset(np.arange(wins.n_windows) < 2)
+
+    @pytest.mark.parametrize("profile", ["tiny", "desk"])
+    def test_step_matches_two_pass_reference(self, monkeypatch, profile):
+        if profile == "tiny":
+            pc, batch = tiny_pretrain_config(seed=0), self._tiny_batch()
+        else:
+            cfg, batch = desk_batch()
+            pc = cfg.pretrain_config()
+        # a ratio off 0.5 gives the two views different masked counts
+        teacher, masks = step_inputs(pc, batch, seed=3, rho=0.25)
+        backbone = BackboneModel(pc, seed=0)
+        want_loss, want_acc, want_grads = two_pass_step(backbone, batch, masks, teacher)
+
+        seen = {}
+
+        def capture(params, **kwargs):
+            seen.update({p.name: p.tensor.grad.copy() for p in params})
+
+        monkeypatch.setattr(pt, "adamw_step", capture)
+        loss, acc = pretrain_step(batch, masks, backbone, teacher, lr=1e-3)
+        assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+        assert acc == want_acc
+        assert seen.keys() == want_grads.keys()
+        for name, grad in want_grads.items():
+            np.testing.assert_allclose(seen[name], grad, rtol=1e-9, err_msg=name)
+
+    def test_two_view_loss_matches_finite_differences(self):
+        """mask_token and the stage-1 convolution receive their gradients
+        summed over both views through the shared features."""
+        pc = tiny_pretrain_config(seed=0)
+        batch = self._tiny_batch()
+        teacher, masks = step_inputs(pc, batch, seed=4)
+        backbone = BackboneModel(pc, seed=1)
+        views = np.stack([masks, ~masks])
+        by_name = {p.name: p for p in backbone.params()}
+        worst = 0.0
+        for name in ("mask_token", "backbone.branch0.stage1.conv.w"):
+            param = by_name[name]
+            orig = param.tensor
+
+            def loss(t, param=param, orig=orig):
+                param.tensor = t
+                try:
+                    return pt._view_loss(backbone, batch, views, teacher)[0]
+                finally:
+                    param.tensor = orig
+
+            worst = max(worst, ad.grad_check(loss, Tensor(orig.data.copy())))
+        assert worst < 1e-4  # the gradient suite's bound (criterion 1)
+
+    def test_desk_step_runs_each_branch_convolution_once(self, kept_tapes):
+        cfg, batch = desk_batch()
+        pc = cfg.pretrain_config()
+        teacher, masks = step_inputs(pc, batch)
+        pretrain_step(batch, masks, BackboneModel(pc, seed=0), teacher, lr=1e-3)
+        convs = sum(e.name == "conv1d" for e in kept_tapes[0].entries)
+        assert convs == 2 * pc.encoder.S  # two conv stages per branch
+
+    def test_stacked_views_equal_single_view_calls(self):
+        pc = tiny_pretrain_config(S=3, seed=0)
+        batch = self._tiny_batch()
+        backbone = BackboneModel(pc, seed=2)
+        rng = np.random.default_rng(5)
+        B, P = batch.patches.shape[:2]
+        views = rng.random((3, B, P)) < 0.5
+        # rows that differ between windows, so the views' order shows
+        args = (batch.patches, rng.integers(0, 4, (B, P)), rng.integers(0, 8, (B, P)))
+        stacked = backbone.forward(*args, mask=views)
+        singles = [backbone.forward(*args, mask=v) for v in views]
+        for s, rep in enumerate(stacked):
+            want = np.concatenate([single[s].data for single in singles])
+            np.testing.assert_allclose(rep.data, want, rtol=1e-12, atol=1e-12)
+
+    def test_unmasked_forward_is_the_encoder_path(self):
+        pc = tiny_pretrain_config(seed=0)
+        batch = self._tiny_batch()
+        backbone = BackboneModel(pc, seed=3)
+        args = (batch.patches, batch.channel_idx, batch.slot_idx)
+        features = backbone.encoder.branch_features(Tensor(batch.patches))
+        want = backbone.encoder.forward(*args, features=features)
+        got = backbone.forward(*args)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.data, b.data)
 
 
 class TestPretrainLoop:
@@ -366,42 +542,20 @@ class TestBackboneCheckpoint:
         assert "mask_token" in str(err.value)
 
 
-def test_desk_models_run_in_float64(monkeypatch):
+def test_desk_models_run_in_float64(kept_tapes):
     """Every parameter of the desk tokenizer and backbone, and the output of
     every tape entry of one training step of each, is float64."""
-    from rvqtok import autodiff as ad
-    from rvqtok import pretrain as pt
-    from rvqtok import tokenizer as tk
-    from rvqtok.config import load_config
-    from rvqtok.signals import SynthSpec, synth_generate
-
-    tapes = []
-
-    def keep_tape(tape, loss):
-        tapes.append(tape)
-        return ad.backward(tape, loss)
-
-    monkeypatch.setattr(tk, "backward", keep_tape)
-    monkeypatch.setattr(pt, "backward", keep_tape)
-    cfg = load_config(profile="desk")
+    cfg, batch = desk_batch()
     tc, pc = cfg.tokenizer_config(), cfg.pretrain_config()
-    recs = [synth_generate(SynthSpec(seed=s, n_channels=8, duration=2.0,
-                                     sample_rate=128.0)) for s in range(2)]
-    wins = build_windows(recs, tc.encoder.w, pc.slots_per_window, val_fraction=0.0)
-    batch = wins.subset(np.arange(wins.n_windows) < 2)
-    W, P = batch.patches.shape[:2]
     tokenizer, backbone = tk.TokenizerModel(tc, seed=0), pt.BackboneModel(pc, seed=0)
     params = [p for model in (tokenizer, backbone) for p in model.params()]
 
     tk.train_step(batch, tokenizer, lr=1e-3, weight_decay=1e-4)
-    rng = np.random.default_rng(0)
-    teacher = rng.integers(0, pc.codebook_size, size=(W, P, pc.encoder.S, pc.levels))
-    masks = np.stack([make_symmetric_masks(P, pc.mask_ratio, rng).mask
-                      for _ in range(W)])
+    teacher, masks = step_inputs(pc, batch)
     pretrain_step(batch, masks, backbone, teacher, lr=1e-3)
 
     assert all(p.data.dtype == np.float64 for p in params)
-    assert len(tapes) == 2
-    for tape in tapes:
+    assert len(kept_tapes) == 2
+    for tape in kept_tapes:
         odd = [e.name for e in tape.entries if e.output.dtype != np.float64]
         assert not odd, f"{len(odd)} of {len(tape.entries)} entries not float64: {odd[:5]}"
