@@ -3,9 +3,10 @@
 Every operation that touches a gradient-tracked tensor appends one entry to
 the active :class:`Tape`.  Entries are created in forward (topological) order,
 so :func:`backward` only has to walk the list once in reverse, applying each
-entry's backward rule and accumulating into a gradient map.  Accumulation
-order is fixed by tape order, which makes repeated backward passes over the
-same forward graph bit-identical.
+entry's backward rule and accumulating into a gradient map.  The walk empties
+the tape as it goes, so each tape is walked once.  Accumulation order is
+fixed by tape order, which makes repeated forward + backward runs
+bit-identical.
 """
 
 from __future__ import annotations
@@ -93,7 +94,12 @@ def _tape_stack() -> list:
 
 
 class Tape:
-    """Ordered record of operations; confined to one thread of execution."""
+    """Ordered record of operations; confined to one thread of execution.
+
+    The tape owns the graph: tensors keep no link to their parents, so the
+    entries (and the forward arrays their backward rules hold) live until
+    :func:`backward` pops them.
+    """
 
     def __init__(self):
         self.entries: list[_TapeEntry] = []
@@ -122,28 +128,36 @@ def _record(name: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
-    """Populate gradients for every requires_grad tensor reachable from loss.
+    """Walk and empty the tape; return the gradients of the leaves.
 
-    Returns the full gradient map (including intermediates).  Gradients of
-    leaf tensors are also accumulated into their ``grad`` attribute.
+    Each entry is popped off the tape as its backward rule runs, and its
+    output's gradient is dropped once used, so the entry's closure, the
+    forward arrays it holds and that gradient are freed before the next entry
+    runs.  What remains is the gradient of every requires_grad leaf reachable
+    from ``loss``; each is also accumulated into the leaf's ``grad``.
+    Intermediate tensors get no ``grad``.  A tape is walked once: walking an
+    empty one raises :class:`ShapeError`.
     """
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
+    if not tape.entries:
+        raise ShapeError("backward over an empty tape: it has already been walked "
+                         "(the walk empties it) or recorded no operation")
     grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
-    for entry in reversed(tape.entries):
-        g = grads.get(entry.output)
+    while tape.entries:
+        entry = tape.entries.pop()
+        g = grads.pop(entry.output, None)
         if g is None:
             continue
-        in_grads = entry.backward(g)
-        for t, ig in zip(entry.inputs, in_grads):
+        for t, ig in zip(entry.inputs, entry.backward(g)):
             if ig is None or not t.requires_grad:
                 continue
             acc = grads.get(t)
             grads[t] = ig if acc is None else acc + ig
-    for t, g in grads.items():
-        if t.requires_grad:
-            t.grad = g if t.grad is None else t.grad + g
-    return grads
+    leaves = {t: g for t, g in grads.items() if t.requires_grad}
+    for t, g in leaves.items():
+        t.grad = g if t.grad is None else t.grad + g
+    return leaves
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -564,7 +578,8 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> flo
         loss = f(xt)
     if loss.size != 1:
         raise ShapeError("grad_check requires a scalar-valued function")
-    grads = backward(tape, loss)
+    # a function that never touches a tracked tensor records nothing
+    grads = backward(tape, loss) if len(tape) else {}
     analytic = grads.get(xt)
     if analytic is None:
         analytic = np.zeros_like(base)

@@ -142,25 +142,26 @@ def align_teacher(target: WindowSet, teacher_windows: WindowSet,
     of the target layout missing from the teacher layout are a contract
     violation (the teacher windowing must cover the target's patches).
     """
-    lookup: dict[tuple[int, int, int], np.ndarray] = {}
-    for wi in range(teacher_windows.n_windows):
-        for pi in range(teacher_windows.patches.shape[1]):
-            key = (int(teacher_windows.rec_idx[wi, pi]),
-                   int(teacher_windows.channel_idx[wi, pi]),
-                   int(teacher_windows.abs_slot[wi, pi]))
-            lookup[key] = teacher_idx[wi, pi]
+    have = np.stack([teacher_windows.rec_idx, teacher_windows.channel_idx,
+                     teacher_windows.abs_slot]).reshape(3, -1)
+    want = np.stack([target.rec_idx, target.channel_idx,
+                     target.abs_slot]).reshape(3, -1)
+    dims = tuple(int(d) + 1 for d in np.maximum(have.max(axis=1, initial=0),
+                                                want.max(axis=1, initial=0)))
+    have_key, want_key = np.ravel_multi_index(have, dims), np.ravel_multi_index(want, dims)
+    order = np.argsort(have_key, kind="stable")
+    sorted_key = have_key[order]
+    # the last of equal teacher keys wins, as it would in a dict
+    pos = np.searchsorted(sorted_key, want_key, side="right") - 1
+    covered = pos >= 0
+    covered[covered] = sorted_key[pos[covered]] == want_key[covered]
+    if not covered.all():
+        key = tuple(int(v) for v in want[:, np.argmin(covered)])
+        raise ConfigError(f"teacher windowing does not cover patch {key}")
     W, P = target.patches.shape[:2]
     S, N = teacher_idx.shape[2:]
-    out = np.zeros((W, P, S, N), dtype=np.int64)
-    for wi in range(W):
-        for pi in range(P):
-            key = (int(target.rec_idx[wi, pi]), int(target.channel_idx[wi, pi]),
-                   int(target.abs_slot[wi, pi]))
-            if key not in lookup:
-                raise ConfigError(
-                    f"teacher windowing does not cover patch {key}")
-            out[wi, pi] = lookup[key]
-    return out
+    rows = teacher_idx.reshape(-1, S, N)[order[pos]]
+    return rows.reshape(W, P, S, N).astype(np.int64, copy=False)
 
 
 def check_teacher_compat(tokenizer_cfg_snapshot: dict, cfg: PretrainConfig) -> None:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rvqtok import autodiff as ad
 from rvqtok.autodiff import Tape, Tensor, backward, grad_check
@@ -119,6 +121,99 @@ def test_backward_deterministic_repeat():
 
     g1, g2 = run(), run()
     assert np.array_equal(g1, g2)
+
+
+def retained_backward(tape, loss):
+    """Reference walk that frees nothing: the entries stay on the tape, and
+    every gradient, intermediates included, stays in the returned map and is
+    accumulated into ``grad``."""
+    grads = {loss: np.ones_like(loss.data)}
+    for entry in reversed(tape.entries):
+        g = grads.get(entry.output)
+        if g is None:
+            continue
+        in_grads = entry.backward(g)
+        for t, ig in zip(entry.inputs, in_grads):
+            if ig is None or not t.requires_grad:
+                continue
+            acc = grads.get(t)
+            grads[t] = ig if acc is None else acc + ig
+    for t, g in grads.items():
+        if t.requires_grad:
+            t.grad = g if t.grad is None else t.grad + g
+    return grads
+
+
+GRAPH_OPS = ("add", "sub", "mul", "square", "gelu", "mask_views", "matmul")
+
+
+def random_graph(seed, ops):
+    """A seeded graph over leaves x, y, weight and token and a constant c.
+
+    The leaf x feeds several entries: the first two ops and the loss.  The
+    mask-view op is the pretraining keep/hide product: a (1, B, P, w)
+    operand times a (V, B, P, 1) mask plus the (w,) token times its
+    complement, summed back over the views.  One entry's output never
+    reaches the loss.  Returns (tape, loss, leaves, intermediates)."""
+    rng = np.random.default_rng(seed)
+    B, P, w = 2, 3, 4
+    x, y = (Tensor(rng.normal(size=(B, P, w)), requires_grad=True) for _ in range(2))
+    weight = Tensor(rng.normal(size=(w, w)) / w, requires_grad=True)
+    token = Tensor(rng.normal(size=w), requires_grad=True)
+    c = Tensor(rng.normal(size=(B, P, w)))
+    pool = [x, y, c]
+
+    def apply(op, a, b):
+        if op == "mask_views":
+            hide = rng.random((2, B, P, 1)) < 0.5
+            views = ad.add(ad.mul(ad.reshape(a, (1, B, P, w)), Tensor(~hide)),
+                           ad.mul(token, Tensor(hide)))
+            return ad.tsum(views, axis=0)
+        if op == "matmul":
+            return ad.matmul(a, weight)
+        if op in ("square", "gelu"):
+            return getattr(ad, op)(a)
+        return getattr(ad, op)(a, b)
+
+    with Tape() as tape:
+        pool.append(ad.mul(x, c))
+        pool.append(apply("mask_views", x, None))
+        for op, i, j in ops:
+            pool.append(apply(op, pool[i % len(pool)], pool[j % len(pool)]))
+        ad.gelu(pool[-2])  # recorded, never reaches the loss
+        loss = ad.add(ad.tsum(pool[-1]), ad.tsum(ad.mul(x, y)))
+    intermediates = [e.output for e in tape.entries]
+    return tape, loss, (x, y, weight, token), intermediates
+
+
+@given(seed=st.integers(0, 2 ** 31 - 1),
+       ops=st.lists(st.tuples(st.sampled_from(GRAPH_OPS), st.integers(0, 20),
+                              st.integers(0, 20)), max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_drained_walk_matches_retained_walk(seed, ops):
+    tape, loss, leaves, _ = random_graph(seed, ops)
+    want = retained_backward(tape, loss)
+    tape, loss, leaves_b, intermediates = random_graph(seed, ops)
+    got = backward(tape, loss)
+    assert set(got) == {t for t in leaves_b if t.grad is not None}
+    for a, b in zip(leaves, leaves_b):
+        assert (a in want) == (b in got)
+        if b in got:
+            assert got[b] is b.grad
+            assert want[a].tobytes() == got[b].tobytes()
+    assert not tape.entries
+    assert all(t.grad is None for t in intermediates)
+
+
+def test_second_walk_of_a_tape_is_rejected():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    with Tape() as tape:
+        loss = ad.tsum(ad.square(x))
+    backward(tape, loss)
+    first = x.grad.copy()
+    with pytest.raises(ShapeError, match="already been walked"):
+        backward(tape, loss)
+    np.testing.assert_array_equal(x.grad, first)
 
 
 def test_grad_check_constant_function_is_zero():

@@ -1,9 +1,12 @@
 """Symmetric masking, teacher tokens, masked-prediction training, the probe."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rvqtok import autodiff as ad
 from rvqtok import pretrain as pt
@@ -21,8 +24,9 @@ from rvqtok.pretrain import (BackboneModel, PretrainConfig, align_teacher,
                              save_backbone, teacher_tokens)
 from rvqtok.rvq import normalize_rows
 from rvqtok.signals import SynthSpec, synth_generate
-from rvqtok.tokenizer import (_config_snapshot, build_windows,
+from rvqtok.tokenizer import (WindowSet, _config_snapshot, build_windows,
                               train_tokenizer)
+from tests.test_autodiff import retained_backward
 from tests.test_tokenizer import tiny_config, tiny_corpus
 
 
@@ -68,11 +72,12 @@ def step_inputs(pc, batch, seed=0, rho=None):
 
 @pytest.fixture
 def kept_tapes(monkeypatch):
-    """The tapes training and pretraining steps pass to backward, in order."""
+    """The entries of each tape training and pretraining steps pass to
+    backward, in order, copied before the walk empties the tape."""
     tapes = []
 
     def keep_tape(tape, loss):
-        tapes.append(tape)
+        tapes.append(list(tape.entries))
         return ad.backward(tape, loss)
 
     monkeypatch.setattr(tk, "backward", keep_tape)
@@ -203,6 +208,35 @@ class TestTeacherTokens:
         assert "codebook_size" in str(err.value)
 
 
+def dict_align_teacher(target, teacher_windows, teacher_idx):
+    """Reference for align_teacher: a dict over every teacher patch (the last
+    of repeated keys wins) and a loop over every target patch."""
+    lookup = {}
+    for wi in range(teacher_windows.n_windows):
+        for pi in range(teacher_windows.patches.shape[1]):
+            key = (int(teacher_windows.rec_idx[wi, pi]),
+                   int(teacher_windows.channel_idx[wi, pi]),
+                   int(teacher_windows.abs_slot[wi, pi]))
+            lookup[key] = teacher_idx[wi, pi]
+    W, P = target.patches.shape[:2]
+    out = np.zeros((W, P) + teacher_idx.shape[2:], dtype=np.int64)
+    for wi in range(W):
+        for pi in range(P):
+            key = (int(target.rec_idx[wi, pi]), int(target.channel_idx[wi, pi]),
+                   int(target.abs_slot[wi, pi]))
+            if key not in lookup:
+                raise ConfigError(f"teacher windowing does not cover patch {key}")
+            out[wi, pi] = lookup[key]
+    return out
+
+
+def keyed_windows(keys):
+    """A WindowSet whose patches carry the given (W, P, 3) provenance keys."""
+    W, P = keys.shape[:2]
+    return WindowSet(np.zeros((W, P, 1)), keys[..., 1], np.zeros((W, P), dtype=np.int64),
+                     keys[..., 0], keys[..., 2], np.zeros(W, dtype=bool))
+
+
 class TestAlignTeacher:
     def test_remaps_between_window_lengths(self, trained_pair):
         recs, tok_model = trained_pair
@@ -219,6 +253,33 @@ class TestAlignTeacher:
                     narrow.abs_slot[w2, p2]) == key]
         assert len(hits) == 1
         np.testing.assert_array_equal(mapped[wi, pi], t_idx[hits[0][0], hits[0][1]])
+
+
+    @given(seed=st.integers(0, 2 ** 31 - 1), Wt=st.integers(1, 5), Pt=st.integers(1, 6),
+           W=st.integers(0, 5), P=st.integers(1, 6), span=st.integers(1, 4),
+           uncovered=st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dict_lookup(self, seed, Wt, Pt, W, P, span, uncovered):
+        """Small key ranges make teacher keys repeat; uncovered target
+        patches raise the dict lookup's error, naming the same patch."""
+        rng = np.random.default_rng(seed)
+        teacher_keys = rng.integers(0, span, size=(Wt, Pt, 3))
+        t_idx = rng.integers(0, 50, size=(Wt, Pt, 2, 3))
+        flat = teacher_keys.reshape(-1, 3)
+        keys = flat[rng.integers(0, len(flat), size=(W, P))]
+        for k in range(uncovered if W else 0):
+            keys[rng.integers(W), rng.integers(P)] = (span + k, 0, rng.integers(span))
+        target, teacher = keyed_windows(keys), keyed_windows(teacher_keys)
+        try:
+            want = dict_align_teacher(target, teacher, t_idx)
+        except ConfigError as err:
+            with pytest.raises(ConfigError) as got:
+                align_teacher(target, teacher, t_idx)
+            assert str(got.value) == str(err)
+            return
+        got = align_teacher(target, teacher, t_idx)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
 
 
 class TestPretrainStep:
@@ -341,8 +402,31 @@ class TestOnePassStep:
         pc = cfg.pretrain_config()
         teacher, masks = step_inputs(pc, batch)
         pretrain_step(batch, masks, BackboneModel(pc, seed=0), teacher, lr=1e-3)
-        convs = sum(e.name == "conv1d" for e in kept_tapes[0].entries)
+        convs = sum(e.name == "conv1d" for e in kept_tapes[0])
         assert convs == 2 * pc.encoder.S  # two conv stages per branch
+
+    def test_desk_step_frees_the_graph_during_backward(self, monkeypatch):
+        """Traced peak of one desk step with the draining walk against a walk
+        that keeps every entry and gradient; both give the same update."""
+        cfg, batch = desk_batch()
+        pc = cfg.pretrain_config()
+        teacher, masks = step_inputs(pc, batch)
+
+        def traced_step():
+            backbone = BackboneModel(pc, seed=0)
+            tracemalloc.start()
+            try:
+                pretrain_step(batch, masks, backbone, teacher, lr=1e-3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak, [p.data.tobytes() for p in backbone.params()]
+
+        drained, params = traced_step()
+        monkeypatch.setattr(pt, "backward", retained_backward)
+        retained, want = traced_step()
+        assert params == want
+        assert drained <= 0.6 * retained, (drained, retained)
 
     def test_stacked_views_equal_single_view_calls(self):
         pc = tiny_pretrain_config(S=3, seed=0)
@@ -556,6 +640,7 @@ def test_desk_models_run_in_float64(kept_tapes):
 
     assert all(p.data.dtype == np.float64 for p in params)
     assert len(kept_tapes) == 2
-    for tape in kept_tapes:
-        odd = [e.name for e in tape.entries if e.output.dtype != np.float64]
-        assert not odd, f"{len(odd)} of {len(tape.entries)} entries not float64: {odd[:5]}"
+    for entries in kept_tapes:
+        assert entries
+        odd = [e.name for e in entries if e.output.dtype != np.float64]
+        assert not odd, f"{len(odd)} of {len(entries)} entries not float64: {odd[:5]}"
