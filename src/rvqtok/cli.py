@@ -241,17 +241,12 @@ def _cmd_tokenize(run: _Run, args) -> int:
     model = load_tokenizer(args.checkpoint)
     recs = _corpus(run.cfg)
     windows = _windows_for_model(run.cfg, model, recs)
-    rows = []
-    patch_id = 0
-    for _, chunk in windows.batches(INFERENCE_BATCH):
-        idx = model.token_indices(chunk.patches, chunk.channel_idx, chunk.slot_idx)
-        W, P, S, N = idx.shape
-        for wi in range(W):
-            for pi in range(P):
-                for s in range(S):
-                    for n in range(N):
-                        rows.append((patch_id, s, n, int(idx[wi, pi, s, n])))
-                patch_id += 1
+    idx = np.concatenate([
+        model.token_indices(chunk.patches, chunk.channel_idx, chunk.slot_idx)
+        for _, chunk in windows.batches(INFERENCE_BATCH)])
+    W, P, S, N = idx.shape
+    patch, branch, level = np.indices((W * P, S, N)).reshape(3, -1).tolist()
+    rows = zip(patch, branch, level, idx.reshape(-1).tolist())
     run.write_csv("tokens.csv", "patch,branch,level,index", rows)
     return 0
 
@@ -266,14 +261,9 @@ def _cmd_reconstruct(run: _Run, args) -> int:
         recon = np.concatenate([
             model.reconstruct(chunk.patches, chunk.channel_idx, chunk.slot_idx)
             for _, chunk in windows.batches(INFERENCE_BATCH)])
-        # stitch patches back into channel rows; windows are channel-major
-        covered = windows.n_windows * slots * w
-        out = np.zeros((rec.n_channels, covered))
-        for wi in range(windows.n_windows):
-            for pi in range(recon.shape[1]):
-                ch = pi // slots
-                slot = int(windows.abs_slot[wi, pi])
-                out[ch, slot * w:(slot + 1) * w] = recon[wi, pi]
+        # undo the cut: (n_win, C, slots, w) windows back to (C, T) rows
+        C = rec.n_channels
+        out = recon.reshape(-1, C, slots, w).swapaxes(0, 1).reshape(C, -1)
         rebuilt = Recording(rec.sample_rate, list(rec.channels), out)
         save_recording(rebuilt, run.path(f"recon/rec{r:03d}_recon.csv"), "csv")
     return 0
@@ -290,13 +280,18 @@ def _cmd_eval_bands(run: _Run, args) -> int:
 
 def _cmd_spectrum(run: _Run, args) -> int:
     rec = load_recording(args.input, "csv")
-    from .signals import segment_patches
-
-    grid = segment_patches(rec, run.cfg.get("model", "w"))
-    if not 0 <= args.patch < grid.n_patches:
-        raise ConfigError(f"patch index {args.patch} out of range "
-                          f"[0, {grid.n_patches})")
-    tgt = forward_spectrum(grid.patches[args.patch])
+    w = run.cfg.get("model", "w")
+    # patches are numbered row-major over (channel, slot); a trailing
+    # remainder shorter than w is dropped
+    n_slots = rec.n_samples // w
+    if n_slots == 0:
+        raise ConfigError(
+            f"recording has {rec.n_samples} samples, shorter than one {w}-sample patch")
+    n_patches = rec.n_channels * n_slots
+    if not 0 <= args.patch < n_patches:
+        raise ConfigError(f"patch index {args.patch} out of range [0, {n_patches})")
+    ch, slot = divmod(args.patch, n_slots)
+    tgt = forward_spectrum(rec.data[ch, slot * w:(slot + 1) * w])
     rows = [(b, float(tgt.log_amp[b]), float(tgt.sin_phase[b]),
              float(tgt.cos_phase[b])) for b in range(len(tgt.log_amp))]
     run.write_csv("spectrum.csv", "bin,log_amp,sin,cos", rows)

@@ -102,22 +102,9 @@ class EncoderConfig:
             b.validate(self.w)
 
 
-def encoder_snapshot(cfg: EncoderConfig) -> dict:
-    """Plain-data form of an encoder config, as checkpoint headers store it."""
-    return {
-        "w": cfg.w, "model_dim": cfg.model_dim, "S": cfg.S, "depth": cfg.depth,
-        "heads": cfg.heads, "mlp_dim": cfg.mlp_dim,
-        "n_electrodes": cfg.n_electrodes, "max_slots": cfg.max_slots,
-        "layer_scale_init": cfg.layer_scale_init,
-        "branches": [{"filters": list(b.filters), "kernels": list(b.kernels),
-                      "paddings": list(b.paddings), "pools": list(b.pools),
-                      "groups": b.groups} for b in cfg.branches],
-    }
-
-
 def encoder_from_snapshot(snap: dict) -> EncoderConfig:
-    """Inverse of :func:`encoder_snapshot`; an older header's ``qk_norm``
-    must be true."""
+    """Inverse of ``asdict(cfg)``, the form checkpoint headers store; an
+    older header's ``qk_norm`` must be true."""
     reject_dropped_field(snap, "qk_norm", True)
     branches = [BranchConfig(filters=tuple(b["filters"]), kernels=tuple(b["kernels"]),
                              paddings=tuple(b["paddings"]), pools=tuple(b["pools"]),

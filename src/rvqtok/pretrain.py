@@ -10,15 +10,14 @@ and slot embeddings stay visible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
 from .checkpoint import ZeroDraws, require_field, restore, save_arrays
-from .encoder import (EncoderConfig, Linear, MultiScaleEncoder, encoder_from_snapshot,
-                      encoder_snapshot)
+from .encoder import EncoderConfig, Linear, MultiScaleEncoder, encoder_from_snapshot
 from .errors import ConfigError, NumericError
 from .optim import Parameter, adamw_step, cosine_warmup_lr
 from .signals import Recording
@@ -400,7 +399,7 @@ def fit_linear_probe(X: np.ndarray, labels: np.ndarray,
 
 
 def _backbone_snapshot(cfg: PretrainConfig) -> dict:
-    return {**encoder_snapshot(cfg.encoder), "levels": cfg.levels,
+    return {**asdict(cfg.encoder), "levels": cfg.levels,
             "codebook_size": cfg.codebook_size, "mask_ratio": cfg.mask_ratio,
             "slots_per_window": cfg.slots_per_window}
 

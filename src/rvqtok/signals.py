@@ -1,4 +1,5 @@
-"""Recordings, patch segmentation, band filtering and synthetic signal generation."""
+"""Recordings and their file formats, band filtering and synthetic signal
+generation.  Cutting recordings into patches is ``tokenizer.build_windows``."""
 
 from __future__ import annotations
 
@@ -42,25 +43,6 @@ class Recording:
         return self.data.shape[1]
 
 
-@dataclass
-class PatchGrid:
-    """Fixed-length patches with (channel, time-slot) provenance.
-
-    ``channel_idx`` indexes the global electrode list, not the source
-    recording's local channel order.
-    """
-
-    patches: np.ndarray       # (P, w)
-    channel_idx: np.ndarray   # (P,) into the global electrode list
-    slot_idx: np.ndarray      # (P,) time slot within the recording
-    patch_length: int
-    sample_rate: float
-
-    @property
-    def n_patches(self) -> int:
-        return self.patches.shape[0]
-
-
 @dataclass(frozen=True)
 class BandSpec:
     """A frequency band; ``high=None`` means open-ended (clamped to Nyquist)."""
@@ -88,13 +70,6 @@ STANDARD_BANDS: tuple[BandSpec, ...] = (
     BandSpec("beta", 13.0, 30.0),
     BandSpec("gamma", 30.0, None),
 )
-
-
-def band_by_name(name: str) -> BandSpec:
-    for b in STANDARD_BANDS:
-        if b.name == name:
-            return b
-    raise ConfigError(f"unknown band {name!r}")
 
 
 #: Band amplitude ranges following the 1/f-like decay of real recordings.
@@ -229,46 +204,8 @@ def _load_raw_f32(path: Path) -> Recording:
     return Recording(rate, channels, data)
 
 
-def load_electrode_list(path: str | Path) -> list[str]:
-    """Global electrode list: one name per line, blank lines ignored."""
-    names = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if len(set(names)) != len(names):
-        raise ParseError(f"{path}: duplicate electrode names")
-    return names
-
-
 # ---------------------------------------------------------------------------
-# segmentation
-
-
-def segment_patches(rec: Recording, w: int,
-                    electrodes: list[str] | None = None) -> PatchGrid:
-    """Cut each channel into non-overlapping length-w windows.
-
-    A trailing remainder shorter than w is discarded.  Patch order is
-    row-major over (channel, slot).  ``electrodes`` maps channel names to
-    global indices; by default the recording's own order is the global list.
-    """
-    if rec.n_samples < w:
-        raise ConfigError(
-            f"recording has {rec.n_samples} samples, shorter than one {w}-sample patch")
-    n_slots = rec.n_samples // w
-    if electrodes is None:
-        chan_global = np.arange(rec.n_channels)
-    else:
-        try:
-            chan_global = np.array([electrodes.index(c) for c in rec.channels])
-        except ValueError as exc:
-            raise ConfigError(f"channel not in global electrode list: {exc}") from None
-    clipped = rec.data[:, :n_slots * w].reshape(rec.n_channels, n_slots, w)
-    patches = clipped.reshape(rec.n_channels * n_slots, w)
-    channel_idx = np.repeat(chan_global, n_slots)
-    slot_idx = np.tile(np.arange(n_slots), rec.n_channels)
-    return PatchGrid(patches, channel_idx, slot_idx, w, rec.sample_rate)
-
-
-# ---------------------------------------------------------------------------
-# filtering and resampling
+# filtering
 
 
 def bandpass(x: np.ndarray, band: BandSpec, sample_rate: float) -> np.ndarray:
@@ -279,24 +216,6 @@ def bandpass(x: np.ndarray, band: BandSpec, sample_rate: float) -> np.ndarray:
     # clamp the edge padding for inputs shorter than the default transient pad
     padlen = min(x.shape[-1] - 1, 3 * (2 * sos.shape[0] + 1))
     return sosfiltfilt(sos, x, axis=-1, padlen=padlen)
-
-
-def resample_linear(rec: Recording, target_rate: float) -> Recording:
-    """Linear-interpolation resampling.
-
-    Approximation only: no anti-alias filter is applied, so when
-    downsampling the caller is responsible for band-limiting first.
-    """
-    if target_rate <= 0:
-        raise ConfigError(f"target_rate must be positive, got {target_rate}")
-    if target_rate == rec.sample_rate:
-        return Recording(rec.sample_rate, list(rec.channels), rec.data.copy())
-    duration = rec.n_samples / rec.sample_rate
-    n_out = int(round(duration * target_rate))
-    t_src = np.arange(rec.n_samples) / rec.sample_rate
-    t_dst = np.arange(n_out) / target_rate
-    out = np.vstack([np.interp(t_dst, t_src, row) for row in rec.data])
-    return Recording(target_rate, list(rec.channels), out)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ context.  Slot embeddings index within the window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -20,7 +20,7 @@ from .autodiff import Tape, Tensor, backward
 from .checkpoint import (ZeroDraws, reject_dropped_field, require_field, restore,
                          save_arrays)
 from .encoder import (EncoderConfig, Linear, MultiScaleEncoder, TransformerStack,
-                      encoder_from_snapshot, encoder_snapshot)
+                      encoder_from_snapshot)
 from .errors import ConfigError, NumericError
 from .optim import Parameter, adamw_step, clip_global_norm, cosine_warmup_lr
 from .rvq import (RVQStack, TokenAssignment, begin_epoch, end_epoch_reinit,
@@ -206,10 +206,13 @@ def build_windows(recordings: list[Recording], w: int, slots_per_window: int,
                   val_fraction: float = 0.1) -> WindowSet:
     """Cut recordings into (C x slots_per_window)-patch windows.
 
-    The last ~val_fraction of each recording's slots form the validation
-    split (fixed rule, reproducible).  All recordings must share a channel
-    count; channel rows index recording channels in order of appearance
-    across the corpus.
+    This is the one place a recording becomes patches: a patch is one
+    channel over one w-sample slot, a trailing remainder shorter than a
+    window is dropped, and patches within a window run channel-major over
+    (channel, slot).  The last ~val_fraction of each recording's slots form
+    the validation split (fixed rule, reproducible).  All recordings must
+    share a channel count; channel rows index recording channels in order
+    of appearance across the corpus.
     """
     if not recordings:
         raise ConfigError("empty dataset")
@@ -221,33 +224,30 @@ def build_windows(recordings: list[Recording], w: int, slots_per_window: int,
         for name in rec.channels:
             if name not in electrodes:
                 electrodes.append(name)
-    blocks = {k: [] for k in ("patches", "channel_idx", "slot_idx",
-                              "rec_idx", "abs_slot", "val")}
+    cuts, n_wins, val_starts, chan_rows = [], [], [], []
     for r, rec in enumerate(recordings):
         total_slots = rec.n_samples // w
         n_win = total_slots // slots_per_window
         if n_win == 0:
             raise ConfigError(
                 f"recording {r} too short for one window of {slots_per_window} slots")
-        val_start = math.ceil((1.0 - val_fraction) * total_slots)
-        chan_rows = np.array([electrodes.index(c) for c in rec.channels])
-        data = rec.data[:, :n_win * slots_per_window * w].reshape(
-            n_ch, n_win, slots_per_window, w)
-        for wi in range(n_win):
-            patches = data[:, wi].reshape(n_ch * slots_per_window, w)
-            blocks["patches"].append(patches)
-            blocks["channel_idx"].append(np.repeat(chan_rows, slots_per_window))
-            blocks["slot_idx"].append(np.tile(np.arange(slots_per_window), n_ch))
-            abs_slots = wi * slots_per_window + np.arange(slots_per_window)
-            blocks["abs_slot"].append(np.tile(abs_slots, n_ch))
-            blocks["rec_idx"].append(np.full(n_ch * slots_per_window, r))
-            blocks["val"].append(abs_slots[0] >= val_start)
-    return WindowSet(np.stack(blocks["patches"]),
-                     np.stack(blocks["channel_idx"]),
-                     np.stack(blocks["slot_idx"]),
-                     np.stack(blocks["rec_idx"]),
-                     np.stack(blocks["abs_slot"]),
-                     np.asarray(blocks["val"], dtype=bool))
+        # (C, n_win, slots, w) -> (n_win, C, slots, w): windows lead, channel-major
+        cuts.append(rec.data[:, :n_win * slots_per_window * w].reshape(
+            n_ch, n_win, slots_per_window, w).swapaxes(0, 1))
+        n_wins.append(n_win)
+        val_starts.append(math.ceil((1.0 - val_fraction) * total_slots))
+        chan_rows.append([electrodes.index(c) for c in rec.channels])
+    patches = np.concatenate(cuts).reshape(-1, n_ch * slots_per_window, w)
+    W, P = patches.shape[:2]
+    rec_of = np.repeat(np.arange(len(recordings)), n_wins)                # (W,)
+    start = np.concatenate([np.arange(n) for n in n_wins]) * slots_per_window
+    slot_idx = np.tile(np.arange(slots_per_window), n_ch)                 # (P,)
+    return WindowSet(patches,
+                     np.repeat(np.array(chan_rows)[rec_of], slots_per_window, axis=1),
+                     np.tile(slot_idx, (W, 1)),
+                     np.repeat(rec_of, P).reshape(W, P),
+                     start[:, None] + slot_idx,
+                     start >= np.array(val_starts)[rec_of])
 
 
 # ---------------------------------------------------------------------------
@@ -398,22 +398,17 @@ def train_tokenizer(dataset: list[Recording], cfg: TokenizerConfig,
 
 def eval_per_band(model: TokenizerModel, recordings: list[Recording],
                   bands=STANDARD_BANDS, split: str = "validation",
-                  slots_per_window: int = 2, windows: WindowSet | None = None
-                  ) -> BandReport:
+                  slots_per_window: int = 2) -> BandReport:
     """Reconstruct and report raw plus per-band MSE.
 
     Band MSE is measured on the central half of each patch (filter edge
     exclusion); the raw MSE covers the full patch.
     """
-    if windows is None:
-        all_windows = build_windows(recordings, model.cfg.encoder.w,
-                                    slots_per_window)
-        windows = all_windows.val if split == "validation" and \
-            all_windows.val.n_windows else all_windows
     w = model.cfg.encoder.w
-    rate = recordings[0].sample_rate if recordings else None
-    if rate is None:
-        raise ConfigError("eval_per_band needs at least one recording")
+    windows = build_windows(recordings, w, slots_per_window)
+    if split == "validation" and windows.val_mask.any():
+        windows = windows.val
+    rate = recordings[0].sample_rate
     x = windows.patches.reshape(-1, w)
     recon = np.concatenate([
         model.reconstruct(c.patches, c.channel_idx, c.slot_idx).reshape(-1, w)
@@ -433,7 +428,7 @@ def eval_per_band(model: TokenizerModel, recordings: list[Recording],
 
 def _config_snapshot(cfg: TokenizerConfig) -> dict:
     return {
-        **encoder_snapshot(cfg.encoder),
+        **asdict(cfg.encoder),
         "levels": cfg.levels, "codebook_size": cfg.codebook_size,
         "code_dim": cfg.code_dim, "decoder_depth": cfg.decoder_depth,
         "commitment_beta": cfg.commitment_beta, "ema_decay": cfg.ema_decay,

@@ -12,7 +12,9 @@ from rvqtok.cli import SUBCOMMANDS, _build_parser, cmd
 from rvqtok.config import CONFIG_SCHEMA, MINIMUMS, PROFILES, load_config
 from rvqtok.errors import ConfigError
 from rvqtok.pretrain import BackboneModel, save_backbone
-from rvqtok.signals import SynthSpec, save_recording, synth_generate
+from rvqtok.signals import (Recording, SynthSpec, load_recording, save_recording,
+                            synth_generate)
+from rvqtok.spectral import forward_spectrum
 from rvqtok.tokenizer import TokenizerModel, save_tokenizer
 from tests.test_pretrain import tiny_pretrain_config
 from tests.test_tokenizer import tiny_config
@@ -263,6 +265,57 @@ class TestCommands:
             _, la, s, c = line.split(",")
             assert math.isfinite(float(la)) and float(la) >= 0.0
             assert abs(float(s) ** 2 + float(c) ** 2 - 1.0) < 1e-6
+
+    def test_spectrum_numbers_patches_channel_major(self, tmp_path, capsys):
+        # MICRO sets w=16; 3 channels of 5 full slots plus a 7-sample remainder
+        w, n_slots = 16, 5
+        data = np.random.default_rng(3).normal(size=(3, n_slots * w + 7))
+        path = tmp_path / "rec.csv"
+        save_recording(Recording(64.0, ["a", "b", "c"], data), path)
+        for p in (0, 4, 5, 9, 14):
+            out = tmp_path / f"p{p}"
+            assert cmd(["spectrum", "--input", str(path), "--patch", str(p),
+                        "--out-dir", str(out), *MICRO]) == 0
+            ch, slot = divmod(p, n_slots)
+            tgt = forward_spectrum(data[ch, slot * w:(slot + 1) * w])
+            want = ["bin,log_amp,sin,cos"] + [
+                f"{b},{float(tgt.log_amp[b])!r},{float(tgt.sin_phase[b])!r},"
+                f"{float(tgt.cos_phase[b])!r}" for b in range(w // 2 + 1)]
+            assert (out / "spectrum.csv").read_text().splitlines() == want
+        out = tmp_path / "beyond"
+        capsys.readouterr()
+        assert cmd(["spectrum", "--input", str(path), "--patch", str(3 * n_slots),
+                    "--out-dir", str(out), *MICRO]) == 1
+        assert "patch index 15 out of range [0, 15)" in capsys.readouterr().err
+        assert not (out / "spectrum.csv").exists()
+        short = tmp_path / "short.csv"
+        save_recording(Recording(64.0, ["a"], np.zeros((1, 10))), short)
+        assert cmd(["spectrum", "--input", str(short), "--out-dir", str(out),
+                    *MICRO]) == 1
+        assert "10 samples" in capsys.readouterr().err
+
+    def test_reconstruct_with_identity_model_rebuilds_covered_prefix(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(TokenizerModel, "reconstruct",
+                            lambda self, patches, channel_idx, slot_idx: patches)
+        ckpt = tmp_path / "tok.ckpt"
+        save_tokenizer(TokenizerModel(tiny_config(w=16)), ckpt)
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        rng = np.random.default_rng(4)
+        # 3-slot windows of w=16: 2 windows + 1 slot + 5 samples, then 3 windows
+        recs = [Recording(64.0, ["a", "b", "c"], rng.normal(size=(3, 7 * 16 + 5))),
+                Recording(64.0, ["c", "a", "b"], rng.normal(size=(3, 9 * 16)))]
+        for i, rec in enumerate(recs):
+            save_recording(rec, data_dir / f"r{i}.csv")
+        out = tmp_path / "out"
+        assert cmd(["reconstruct", "--checkpoint", str(ckpt), "--out-dir", str(out),
+                    *MICRO, "--set", f"run.data_dir={data_dir}",
+                    "--set", "train.slots_per_window=3"]) == 0
+        for i, (rec, n_win) in enumerate(zip(recs, (2, 3))):
+            back = load_recording(out / "recon" / f"rec{i:03d}_recon.csv")
+            assert back.channels == rec.channels
+            np.testing.assert_array_equal(back.data, rec.data[:, :n_win * 3 * 16])
 
     def test_gradcheck_command(self, tmp_path):
         rc = cmd(["gradcheck", "--out-dir", str(tmp_path), "--seeds", "2"])

@@ -1,4 +1,4 @@
-"""Recording I/O, segmentation, filtering, and the synthetic generator."""
+"""Recording I/O, filtering, and the synthetic generator."""
 
 import math
 
@@ -7,9 +7,10 @@ import pytest
 
 from rvqtok.errors import ConfigError, ParseError
 from rvqtok.signals import (BandSpec, Recording, STANDARD_BANDS, SynthSpec,
-                            band_by_name, bandpass, load_recording,
-                            load_electrode_list, resample_linear,
-                            save_recording, segment_patches, synth_generate)
+                            bandpass, load_recording, save_recording,
+                            synth_generate)
+
+BANDS = {b.name: b for b in STANDARD_BANDS}
 
 
 def _sine_recording(freq=10.0, rate=200.0, seconds=2.0, channels=2):
@@ -58,63 +59,13 @@ class TestRecordingIO:
         with pytest.raises(ParseError):
             load_recording(path, format="raw-f32")
 
-    def test_electrode_list(self, tmp_path):
-        path = tmp_path / "electrodes.txt"
-        path.write_text("Cz\nPz\nFz\n")
-        assert load_electrode_list(path) == ["Cz", "Pz", "Fz"]
-        path.write_text("Cz\nCz\n")
-        with pytest.raises(ParseError):
-            load_electrode_list(path)
-
-
-class TestSegmentPatches:
-    def test_counts_and_slots(self):
-        rec = _sine_recording(rate=200.0, seconds=2.0, channels=2)
-        grid = segment_patches(rec, 200)
-        assert grid.n_patches == 4
-        assert sorted(set(grid.slot_idx)) == [0, 1]
-
-    def test_trailing_samples_dropped(self):
-        rec = Recording(50.0, ["a"], np.arange(250, dtype=float)[None, :])
-        grid = segment_patches(rec, 200)
-        assert grid.n_patches == 1
-        np.testing.assert_array_equal(grid.patches[0], np.arange(200.0))
-
-    def test_row_major_provenance(self):
-        rec = Recording(100.0, ["a", "b", "c"],
-                        np.arange(3 * 600, dtype=float).reshape(3, 600))
-        grid = segment_patches(rec, 200)
-        assert grid.n_patches == 9
-        expect = [(ch, slot) for ch in range(3) for slot in range(3)]
-        got = list(zip(grid.channel_idx.tolist(), grid.slot_idx.tolist()))
-        assert got == expect
-
-    def test_concatenation_reproduces_prefix(self):
-        rng = np.random.default_rng(1)
-        rec = Recording(64.0, ["a", "b"], rng.normal(size=(2, 331)))
-        grid = segment_patches(rec, 64)
-        for ch in range(2):
-            rows = grid.patches[grid.channel_idx == ch]
-            rebuilt = np.concatenate(list(rows))
-            np.testing.assert_array_equal(rebuilt, rec.data[ch, :5 * 64])
-
-    def test_too_short_errors(self):
-        rec = Recording(10.0, ["a"], np.zeros((1, 5)))
-        with pytest.raises(ConfigError):
-            segment_patches(rec, 10)
-
-    def test_global_electrode_mapping(self):
-        rec = Recording(100.0, ["Pz", "Cz"], np.zeros((2, 100)))
-        grid = segment_patches(rec, 100, electrodes=["Cz", "Pz", "Fz"])
-        np.testing.assert_array_equal(grid.channel_idx, [1, 0])
-
 
 class TestBandpass:
     def test_passband_preserves_amplitude(self):
         rate = 200.0
         t = np.arange(400) / rate
         x = np.sin(2 * math.pi * 10.0 * t)
-        y = bandpass(x, band_by_name("alpha"), rate)
+        y = bandpass(x, BANDS["alpha"], rate)
         mid = slice(100, 300)
         assert np.abs(y[mid]).max() > 0.95
         assert np.abs(y[mid]).max() < 1.05
@@ -123,20 +74,20 @@ class TestBandpass:
         rate = 200.0
         t = np.arange(400) / rate
         x = np.sin(2 * math.pi * 10.0 * t)
-        y = bandpass(x, band_by_name("gamma"), rate)
+        y = bandpass(x, BANDS["gamma"], rate)
         mid = slice(100, 300)
         rms_in = np.sqrt(np.mean(x[mid] ** 2))
         rms_out = np.sqrt(np.mean(y[mid] ** 2))
         assert rms_out < 0.02 * rms_in
 
     def test_zero_input_zero_output(self):
-        y = bandpass(np.zeros(256), band_by_name("beta"), 128.0)
+        y = bandpass(np.zeros(256), BANDS["beta"], 128.0)
         np.testing.assert_allclose(y, 0.0, atol=1e-300)
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
         x, y = rng.normal(size=(2, 256))
-        band = band_by_name("theta")
+        band = BANDS["theta"]
         lhs = bandpass(2.5 * x - 1.5 * y, band, 128.0)
         rhs = 2.5 * bandpass(x, band, 128.0) - 1.5 * bandpass(y, band, 128.0)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
@@ -155,7 +106,7 @@ class TestSynthGenerate:
         rec = synth_generate(spec)
         mid = slice(rec.n_samples // 4, 3 * rec.n_samples // 4)
         total = np.mean(rec.data[0, mid] ** 2)
-        in_band = bandpass(rec.data[0], band_by_name("alpha"), 128.0)
+        in_band = bandpass(rec.data[0], BANDS["alpha"], 128.0)
         assert np.mean(in_band[mid] ** 2) > 0.95 * total
 
     def test_same_seed_bit_identical(self):
@@ -178,34 +129,11 @@ class TestSynthGenerate:
         mid = slice(rec.n_samples // 4, 3 * rec.n_samples // 4)
         rms_total = np.sqrt(np.mean(rec.data[0, mid] ** 2))
         for name in ("alpha", "beta", "gamma"):
-            out = bandpass(rec.data[0], band_by_name(name), 128.0)
+            out = bandpass(rec.data[0], BANDS[name], 128.0)
             assert np.sqrt(np.mean(out[mid] ** 2)) < 0.05 * rms_total
-
-
-class TestResample:
-    def test_identity_when_rate_matches(self):
-        rec = _sine_recording()
-        out = resample_linear(rec, rec.sample_rate)
-        np.testing.assert_array_equal(out.data, rec.data)
-
-    def test_upsample_tracks_analytic_sinusoid(self):
-        rate = 100.0
-        t = np.arange(200) / rate
-        rec = Recording(rate, ["a"], np.sin(2 * math.pi * 2.0 * t)[None, :])
-        out = resample_linear(rec, 200.0)
-        t2 = np.arange(out.n_samples) / 200.0
-        expect = np.sin(2 * math.pi * 2.0 * t2)
-        # interpolation cannot extrapolate past the last source sample
-        valid = t2 <= t[-1]
-        assert np.abs(out.data[0, valid] - expect[valid]).max() < 0.02
-
-    def test_constant_stays_constant(self):
-        rec = Recording(100.0, ["a"], np.full((1, 100), 3.5))
-        out = resample_linear(rec, 77.0)
-        np.testing.assert_allclose(out.data, 3.5, atol=1e-12)
 
 
 def test_standard_bands_cover_expected_names():
     assert [b.name for b in STANDARD_BANDS] == ["delta", "theta", "alpha", "beta", "gamma"]
-    low, high = band_by_name("gamma").edges(200.0)
+    low, high = BANDS["gamma"].edges(200.0)
     assert low == 30.0 and abs(high - 95.0) < 1e-12

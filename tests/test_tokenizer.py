@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rvqtok.encoder import EncoderConfig
 from rvqtok.errors import CompatibilityError, ConfigError, NumericError
@@ -57,6 +59,68 @@ class TestBuildWindows:
     def test_too_short_recording_rejected(self):
         with pytest.raises(ConfigError):
             build_windows([Recording(64.0, ["a"], np.zeros((1, 20)))], 16, 2)
+
+    @staticmethod
+    def _window_loop(recordings, w, slots_per_window, val_fraction):
+        """The per-window cut build_windows replaced, kept as its oracle."""
+        n_ch = recordings[0].n_channels
+        electrodes: list[str] = []
+        for rec in recordings:
+            for name in rec.channels:
+                if name not in electrodes:
+                    electrodes.append(name)
+        blocks = {k: [] for k in ("patches", "channel_idx", "slot_idx",
+                                  "rec_idx", "abs_slot", "val")}
+        for r, rec in enumerate(recordings):
+            total_slots = rec.n_samples // w
+            n_win = total_slots // slots_per_window
+            val_start = math.ceil((1.0 - val_fraction) * total_slots)
+            chan_rows = np.array([electrodes.index(c) for c in rec.channels])
+            data = rec.data[:, :n_win * slots_per_window * w].reshape(
+                n_ch, n_win, slots_per_window, w)
+            for wi in range(n_win):
+                blocks["patches"].append(data[:, wi].reshape(n_ch * slots_per_window, w))
+                blocks["channel_idx"].append(np.repeat(chan_rows, slots_per_window))
+                blocks["slot_idx"].append(np.tile(np.arange(slots_per_window), n_ch))
+                abs_slots = wi * slots_per_window + np.arange(slots_per_window)
+                blocks["abs_slot"].append(np.tile(abs_slots, n_ch))
+                blocks["rec_idx"].append(np.full(n_ch * slots_per_window, r))
+                blocks["val"].append(abs_slots[0] >= val_start)
+        return {"patches": np.stack(blocks["patches"]),
+                "channel_idx": np.stack(blocks["channel_idx"]),
+                "slot_idx": np.stack(blocks["slot_idx"]),
+                "rec_idx": np.stack(blocks["rec_idx"]),
+                "abs_slot": np.stack(blocks["abs_slot"]),
+                "val_mask": np.asarray(blocks["val"], dtype=bool)}
+
+    @staticmethod
+    @st.composite
+    def _corpora(draw):
+        n_ch = draw(st.integers(1, 3))
+        w = draw(st.sampled_from([4, 8, 16]))
+        slots = draw(st.integers(1, 3))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+        recs = []
+        for _ in range(draw(st.integers(1, 3))):
+            # names drawn from a shared pool in a per-recording order, so
+            # later recordings both reorder and add electrode rows
+            names = draw(st.permutations(["Cz", "Pz", "Fz", "Oz"]))[:n_ch]
+            n_samples = draw(st.integers(slots * w, 5 * slots * w + w - 1))
+            recs.append(Recording(64.0, list(names), rng.normal(size=(n_ch, n_samples))))
+        val_fraction = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]))
+        return recs, w, slots, val_fraction
+
+    @given(_corpora())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_window_loop_byte_for_byte(self, corpus):
+        recs, w, slots, val_fraction = corpus
+        got = build_windows(recs, w, slots, val_fraction=val_fraction)
+        want = self._window_loop(recs, w, slots, val_fraction)
+        for name, ref in want.items():
+            arr = getattr(got, name)
+            assert arr.dtype == ref.dtype, name
+            assert arr.shape == ref.shape, name
+            assert arr.tobytes() == ref.tobytes(), name
 
 
 class TestBatches:
