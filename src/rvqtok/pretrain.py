@@ -264,11 +264,16 @@ def pretrain(dataset: list[Recording], cfg: PretrainConfig,
     if train_set.n_windows == 0:
         raise ConfigError("no training windows after the validation split")
     backbone = BackboneModel(cfg, seed=cfg.seed)
-    tw = build_windows(dataset, cfg.encoder.w,
-                       cfg.teacher_slots or cfg.slots_per_window)
+    # the teacher tokenizes the corpus in its own window length, which is
+    # usually this cut already
+    teacher_slots = cfg.teacher_slots or cfg.slots_per_window
+    tw = (windows if teacher_slots == cfg.slots_per_window
+          else build_windows(dataset, cfg.encoder.w, teacher_slots))
+    del windows
     t_idx = teacher_tokens(tw, tokenizer)
     teacher_train = align_teacher(train_set, tw, t_idx)
     teacher_val = align_teacher(val_set, tw, t_idx) if val_set.n_windows else None
+    del tw, t_idx  # the whole-corpus cut and tokens end with the alignment
     steps_per_epoch = math.ceil(train_set.n_windows / cfg.batch_size)
     total_steps = max(1, cfg.epochs * steps_per_epoch)
     warmup_steps = cfg.warmup_epochs * steps_per_epoch

@@ -6,15 +6,20 @@ Codewords are matched in normalized space but stored and subtracted raw:
 the residual update and the telescoping identity operate on the codeword
 actually selected, not its normalization.
 
-Every nearest-row search (the quantizer and both k-means assignment steps)
-goes through ``nearest_rows``.  It shortlists candidates with one GEMM,
-||x||^2 + ||t||^2 - 2 x.t using each row's actual squared norm, keeps every
-entry within a rounding slack of the row minimum, and re-ranks rows with more
-than one candidate by the difference form ((x - t)^2).sum(-1).  The slack
-exceeds the rounding error of both forms, so the exact minimum is always
-shortlisted, and the re-rank computes the same float64 values a full (B, K, d)
-broadcast would: picks, exact ties and lowest-index tie-breaking included, are
-those of the broadcast, bit for bit, at O(B*K) memory per block.
+Every nearest-row search (the quantizer, its zero-query fallback and
+k-means' Lloyd assignments) goes through ``nearest_rows``.  It shortlists in
+float32 and decides in float64: one float32 GEMM per block of rows gives
+||t||^2 - 2 x.t for every entry, and a row whose best value beats its second
+best by more than the float32 rounding bound takes that pick.  A row with a
+few entries within the bound of its best re-ranks them by the float64
+difference form ((x - t)^2).sum(-1); a row with more, or with norms outside
+float32's safe range, goes through the float64 GEMM shortlist, which keeps
+every entry within a float64 slack of the minimum and re-ranks the same way.
+Each slack exceeds the rounding error of its form, so the exact minimum is
+always shortlisted, and the re-rank computes the same float64 values a full
+(B, K, d) broadcast would: picks, exact ties and lowest-index tie-breaking
+included, are those of the broadcast, bit for bit, at O(B*K) memory per
+block.
 
 k-means++ seeding keeps each row's distance to its nearest centre the same
 way: a GEMV per new centre shortlists the rows it may be nearer to, and
@@ -24,7 +29,7 @@ codebooks are those of a full difference-form pass per centre, bit for bit.
 The quantizer searches the raw book: the GEMM's columns are scaled by
 1/||v||, and only shortlisted codewords are normalized (by
 ``normalize_rows``, as the broadcast would) for the re-rank, so a search
-holds no normalized copy of the book.
+holds no normalized copy of the book, only a float32 copy made per call.
 
 A codebook's EMA sums are training state and start at the first EMA update
 or dead-code reset (or come from k-means); a book that is only searched,
@@ -52,9 +57,14 @@ DEAD_CODE_THRESHOLD = 1.0
 RESERVOIR_CAP = 512
 #: Largest (rows x K) distance block ``nearest_rows`` holds at once (16 MB).
 SEARCH_BLOCK = 1 << 21
-#: Shortlist slack, relative to 1 + ||x||^2 + max ||t||^2.  Both distance
-#: forms round within ~(d + 3) float64 epsilons of that scale.
+#: Most entries a row may take from the float32 shortlist to the float64
+#: re-rank; a row with more goes through the float64 GEMM shortlist.
+SHORTLIST_CAP = 64
+#: Float64 shortlist slack, relative to 1 + ||x||^2 + max ||t||^2.  Both
+#: distance forms round within ~(d + 3) float64 epsilons of that scale.
 SEARCH_SLACK = 1e-9
+#: float32 machine epsilon, 2^-23.
+EPS32 = float(np.finfo(np.float32).eps)
 
 
 def normalize_rows(v: np.ndarray) -> np.ndarray:
@@ -114,18 +124,143 @@ def nearest_rows(x: np.ndarray, table: np.ndarray,
     Squared Euclidean distance, ties to the lowest index; the picks equal
     ``argmin(((x[:, None] - table[None]) ** 2).sum(-1), axis=1)`` exactly,
     with ``normalize_rows(table)`` in place of ``table`` if ``unit_table``.
-    Rows are searched ``SEARCH_BLOCK // K`` at a time: one GEMM shortlists
-    the entries within ``SEARCH_SLACK`` of each row's minimum, and rows with
-    more than one candidate re-rank them by the difference form.
 
-    ``unit_table`` never builds the normalized table.  The GEMM's columns
-    are scaled by 1/||t|| and each unit row's squared norm is taken as 1,
-    both within a few epsilons where ||t||^2 is a well-scaled normal number.
-    Rows outside that range (zero, or a squared norm that underflows or
-    overflows) skip the shortlist and always go to the re-rank.
+    Each block of rows runs one float32 GEMM against a float32 copy of the
+    table.  A row whose best float32 distance beats its second best by more
+    than the float32 rounding bound (see ``_slack32``) takes that pick; a row
+    with at most ``SHORTLIST_CAP`` entries within the bound of its best
+    re-ranks them by the float64 difference form ((x - t)^2).sum(-1); the
+    rest, and rows or entries whose norms lie outside the ranges where that
+    bound holds, go through ``_search64``, the float64 GEMM shortlist.
+
+    ``unit_table`` never builds the normalized table: the distances' columns
+    are scaled by -2/||t|| in one multiply and each unit row's squared norm,
+    the same for every entry, is dropped.  Only shortlisted codewords are
+    normalized, by ``normalize_rows`` as the broadcast would.
     """
     x = np.asarray(x, dtype=np.float64)
     table = np.asarray(table, dtype=np.float64)
+    n, d = x.shape
+    K = table.shape[0]
+    tt = np.einsum("ij,ij->i", table, table)
+    xx = np.einsum("ij,ij->i", x, x)
+    # Entries outside the ranges where _slack32's bound holds are always
+    # candidates; rows outside them take the float64 path, as does every row
+    # past SHORTLIST_CAP such entries or past d = 4096, where the bound's
+    # second-order terms would outgrow its margin.
+    if unit_table:
+        safe = (tt > 2.0 ** -200) & (tt < 2.0 ** 200)
+        colscale = -2.0 / np.sqrt(np.where(safe, tt, 1.0))
+        top = float(safe.any())
+        fast = xx <= 4.0
+    else:
+        safe = tt < 2.0 ** 100
+        colscale = np.full(K, -2.0)
+        top = tt.max(initial=0.0, where=safe)
+        fast = (xx < 2.0 ** 100) & (xx + top > 2.0 ** -100)
+    forced = np.flatnonzero(~safe)
+    if forced.size > SHORTLIST_CAP or d > 4096:
+        fast[:] = False
+    slack = _slack32(d, xx, top)
+    with np.errstate(over="ignore"):  # entries that overflow are zeroed
+        t32 = table.astype(np.float32)
+    t32[forced] = 0.0
+    c32 = colscale.astype(np.float32)
+    tt32 = None if unit_table else np.where(safe, tt, 0.0).astype(np.float32)
+
+    idx = np.empty(n, dtype=np.int64)
+    slow = [np.flatnonzero(~fast)]
+    live = np.flatnonzero(fast)
+    rows = max(1, SEARCH_BLOCK // max(K, 4 * SHORTLIST_CAP * d))
+    for lo in range(0, live.size, rows):
+        sub = live[lo:lo + rows]
+        idx[sub], hard = _search32(x[sub], table, unit_table, t32, c32, tt32,
+                                   forced, slack[sub])
+        slow.append(sub[hard])
+    slow = np.concatenate(slow)
+    if slow.size:
+        idx[slow] = _search64(x[slow], table, unit_table)
+    return idx
+
+
+def _search32(x, table, unit_table, t32, c32, tt32, forced, slack):
+    """One block of ``nearest_rows``' float32 tier: the picks, and the rows
+    (positions in ``x``) with more than ``SHORTLIST_CAP`` candidates, whose
+    picks the float64 GEMM shortlist must make."""
+    e = x.astype(np.float32) @ t32.T
+    e *= c32
+    if tt32 is not None:
+        e += tt32
+    e[:, forced] = np.inf
+    r = np.arange(x.shape[0])
+    best = np.argmin(e, axis=1)
+    low = e[r, best]
+    if forced.size:
+        unsure = r
+    else:  # second best against best, with the best masked out
+        e[r, best] = np.inf
+        gap = e.min(axis=1) - low.astype(np.float64)
+        e[r, best] = low
+        unsure = np.flatnonzero(~(gap > slack))
+        if unsure.size == 0:
+            return best, unsure
+    near = e[unsure] <= (low[unsure] + slack[unsure])[:, None]
+    del e
+    near[:, forced] = True
+    few = np.count_nonzero(near, axis=1) <= SHORTLIST_CAP
+    rr, cc = np.nonzero(near[few])  # row-major: each row's columns ascend
+    best[unsure[few]] = _rerank(x[unsure[few]], table, rr, cc, unit_table)
+    return best, unsure[~few]
+
+
+def _slack32(d: int, xx: np.ndarray, top: float) -> np.ndarray:
+    """Largest gap between two entries' float32 distances that rounding can
+    make, for rows of squared norm ``xx`` and largest entry squared norm
+    ``top`` (1 for a unit table).
+
+    With u = EPS32 / 2, an entry's float32 value ||t||^2 - 2 x.t (for a
+    unit table -2 x.t / ||t||, the constant 1 dropped) differs from its
+    exact one by at most 2 (2u + d u) sum_i |x_i t_i|: rounding x
+    and t to float32, then the d roundings of the dot product.  The
+    roundings that finish it (the column scale -2/||t|| and the product for
+    a unit table, tt and the sum for a raw one) add at most 3u (xx + top).
+    As 2 sum_i |x_i t_i| <= xx + top (||t|| = 1 for a unit table), each
+    entry is off by at most (d + 2 + 3) u (xx + top), and a gap between two
+    entries by twice that.  One more EPS32 covers the float64 rounding of
+    the difference form, second-order terms, and underflow inside the safe
+    ranges ``nearest_rows`` checks.
+    """
+    return EPS32 * (d + 2 + 3 + 1) * (xx + top)
+
+
+def _rerank(x: np.ndarray, table: np.ndarray, r: np.ndarray, c: np.ndarray,
+            unit_table: bool) -> np.ndarray:
+    """Pick per row of ``x`` the candidate ``table`` row nearest by the
+    difference form, ties to the lowest index: the broadcast's own float64
+    values.  (r, c) lists every row's candidates, rows ascending and each
+    row's columns ascending; every row has at least one."""
+    cand = normalize_rows(table[c]) if unit_table else table[c]
+    diff = x[r]
+    diff -= cand
+    del cand
+    np.square(diff, out=diff)
+    exact = diff.sum(-1)
+    order = np.lexsort((c, exact, r))
+    first = np.flatnonzero(np.diff(r, prepend=-1))
+    return c[order[first]]
+
+
+def _search64(x: np.ndarray, table: np.ndarray, unit_table: bool) -> np.ndarray:
+    """``nearest_rows`` by a float64 GEMM shortlist.
+
+    Rows are searched ``SEARCH_BLOCK // K`` at a time: one GEMM computes
+    ||x||^2 + ||t||^2 - 2 x.t, keeps every entry within ``SEARCH_SLACK`` of
+    each row's minimum, and rows with more than one candidate re-rank them.
+    For a unit table the GEMM's columns are scaled by 1/||t|| and each unit
+    row's squared norm is taken as 1, both within a few epsilons where
+    ||t||^2 is a well-scaled normal number; rows outside that range (zero,
+    or a squared norm that underflows or overflows) are always candidates.
+    """
     tt = np.einsum("ij,ij->i", table, table)
     odd = np.zeros(tt.shape, dtype=bool)
     if unit_table:
@@ -153,11 +288,7 @@ def nearest_rows(x: np.ndarray, table: np.ndarray,
         if tied.size == 0:
             continue
         r, c = np.nonzero(near[tied])  # row-major: each row's columns ascend
-        cand = normalize_rows(table[c]) if unit_table else table[c]
-        exact = ((x[lo + tied[r]] - cand) ** 2).sum(-1)
-        order = np.lexsort((c, exact, r))
-        first = np.flatnonzero(np.diff(r, prepend=-1))
-        idx[lo + tied] = c[order[first]]
+        idx[lo + tied] = _rerank(x[lo + tied], table, r, c, unit_table)
     return idx
 
 
@@ -168,11 +299,11 @@ def quantize_level(p: np.ndarray, book: Codebook) -> tuple[np.ndarray, np.ndarra
     zero fall back to raw Euclidean distance.  Ties break toward the lowest
     index.  Accepts a single vector or a (B, d) batch.
 
-    Both searches run through ``nearest_rows`` on the raw book: a GEMM
-    shortlist of the entries within rounding slack of each row's minimum,
-    re-ranked by the difference form, so the picks are those of the
-    (B, K, d) broadcast ||q^ - v^||^2, including duplicate, collinear and
-    all-zero codewords.
+    Both searches run through ``nearest_rows`` on the raw book: a float32
+    GEMM settles the rows whose best entry wins by more than float32
+    rounding, and the rest re-rank their near ties by the float64
+    difference form, so the picks are those of the (B, K, d) broadcast
+    ||q^ - v^||^2, including duplicate, collinear and all-zero codewords.
     """
     p = np.asarray(p, dtype=np.float64)
     single = p.ndim == 1

@@ -337,6 +337,7 @@ def train_tokenizer(dataset: list[Recording], cfg: TokenizerConfig,
         raise ConfigError("empty dataset")
     windows = build_windows(dataset, cfg.encoder.w, slots_per_window)
     train_set, val_set = windows.train, windows.val
+    del windows  # the splits hold their own copies of the patches
     if train_set.n_windows == 0:
         raise ConfigError("no training windows after the validation split")
     model = TokenizerModel(cfg, seed=seed)

@@ -1,7 +1,9 @@
 """Symmetric masking, teacher tokens, masked-prediction training, the probe."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -530,6 +532,31 @@ class TestPretrainLoop:
                                            by_patch)
         assert [r["epoch"] for r in curves if r["split"] == "train"] == [1, 2]
         assert all(math.isfinite(r["ce_loss"]) for r in curves)
+
+    @pytest.mark.parametrize("teacher_slots", [None, 4])
+    def test_whole_corpus_windows_freed_by_first_step(self, trained_pair,
+                                                     monkeypatch, teacher_slots):
+        recs, tok_model = trained_pair
+        cfg = tiny_pretrain_config(epochs=1, seed=0, teacher_slots=teacher_slots)
+        cuts, alive = [], []
+        real_build, real_step = pt.build_windows, pt.pretrain_step
+
+        def build(*args, **kwargs):
+            windows = real_build(*args, **kwargs)
+            cuts.append(weakref.ref(windows))
+            return windows
+
+        def step(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in cuts))
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(pt, "build_windows", build)
+        monkeypatch.setattr(pt, "pretrain_step", step)
+        pt.pretrain(recs, cfg, tok_model)
+        # one cut when the teacher shares the window length, else two
+        assert len(cuts) == (1 if teacher_slots is None else 2)
+        assert alive and alive[0] == 0
 
     def test_teacher_indices_stable_across_epochs(self, trained_pair):
         recs, tok_model = trained_pair

@@ -1,5 +1,6 @@
 """Nearest-neighbor quantization, residual cascades, EMA learning, k-means init."""
 
+import copy
 import tracemalloc
 import warnings
 
@@ -156,9 +157,10 @@ class TestNearestRows:
     @settings(max_examples=300, deadline=None)
     def test_quantize_level_matches_oracle_at_extreme_magnitudes(self, case, data):
         # 1e-170 rows square to 0 although nonzero, so normalize_rows leaves
-        # them as they are; 1e160 rows square to inf and normalize to zero
+        # them as they are; 1e160 rows square to inf and normalize to zero;
+        # float32 squares underflow or overflow at 1e+-19 and 1e+-25
         q, table, block = case
-        scales = st.sampled_from([1.0, 1e-170, 1e160])
+        scales = st.sampled_from([1.0, 1e-170, 1e160, 1e19, 1e-19, 1e25, 1e-25])
         table = table * np.array(data.draw(st.lists(
             scales, min_size=len(table), max_size=len(table))))[:, None]
         q = q * np.array(data.draw(st.lists(
@@ -195,6 +197,167 @@ class TestNearestRows:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+
+def _f32_magnitudes(draw, n):
+    """Per-row scales, mostly 1, else where float32 squares underflow or
+    overflow."""
+    return np.array(draw(st.lists(st.sampled_from(
+        [1.0, 1.0, 1.0, 1e19, 1e-19, 1e25, 1e-25]),
+        min_size=n, max_size=n)))[:, None]
+
+
+@st.composite
+def _float32_cases(draw):
+    """Searches that stress the float32 shortlist: K up to 1024 and d up to
+    128, tables of near-duplicate codewords, queries within relative 1e-9
+    to 1e-4 of a codeword (on both sides of float32 resolution) or
+    equidistant from two codewords up to rounding, and rows of the table
+    and the queries at extreme magnitudes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    d = draw(st.sampled_from([1, 2, 3, 8, 32, 128]))
+    K = draw(st.integers(1, 1024))
+    B = min(draw(st.integers(1, 48)), max(1, (1 << 21) // (K * d)))
+    rel = 10.0 ** rng.uniform(-9, -4, size=(K, 1))
+    if draw(st.booleans()):  # clusters of codewords a relative 1e-9..1e-4 apart
+        centres = rng.normal(size=(max(1, K // 8), d))
+        table = centres[rng.integers(0, len(centres), size=K)]
+        table = table * (1.0 + rel * rng.standard_normal((K, d)))
+    else:
+        table = rng.normal(size=(K, d))
+    unit = normalize_rows(table)
+    x = rng.normal(size=(B, d))
+    for r in range(B):
+        i, j = rng.integers(0, K, size=2)
+        kind = draw(st.sampled_from(["near", "between", "between-unit", "free"]))
+        if kind == "near":
+            x[r] = table[i] * (1.0 + 10.0 ** rng.uniform(-9, -4)
+                               * rng.standard_normal(d))
+        elif kind == "between":  # equidistant from rows i and j
+            x[r] = 0.5 * (table[i] + table[j])
+        elif kind == "between-unit":  # the same after normalization
+            x[r] = unit[i] + unit[j]
+    if draw(st.booleans()):
+        table = table * _f32_magnitudes(draw, K)
+        x = x * _f32_magnitudes(draw, B)
+    return x, table
+
+
+def _accumulation_ties(d, unit):
+    """64 queries and a K = 256 table whose entries 0 and 1 tie (exactly in
+    the raw metric, to ~1e-13 with ``unit``) with opposite float32 rounding:
+    after a leading term in [1, 2), every product of entry 0 lies just below
+    half a float32 ulp and every product of entry 1 just above it, so a
+    dot product summed in order loses (d - 1) half-ulps on one entry and
+    gains them on the other, about 90% of the slack.  Entry 0 is the pick."""
+    rng = np.random.default_rng(d)
+    delta = 2.0 ** -8
+    lead = 17.0 / 16.0 if unit else 1.0  # the unit query's lead is lead / ||x||
+    q = np.sqrt(lead) * 2.0 ** -12       # products q * q / lead = 2^-24
+    x = np.full((64, d), q)
+    x[:, 0] = lead
+    # far from every query, and shorter than entries 0 and 1, which set the
+    # raw metric's slack
+    table = -0.5 * normalize_rows(rng.random((256, d)))
+    table[0] = q * (1.0 - delta + (2.0 ** -20 if unit else 0.0))
+    table[1] = q * (1.0 + delta)
+    table[:2, 0] = lead
+    return x, table
+
+
+class TestFloat32Tier:
+    @given(_float32_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_nearest_rows_matches_broadcast_oracle(self, case):
+        x, table = case
+        np.testing.assert_array_equal(nearest_rows(x, table),
+                                      _broadcast_nearest(x, table))
+
+    @given(_float32_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_quantize_level_matches_broadcast_oracle(self, case):
+        q, table = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _broadcast_quantize(q, table)
+            idx, z = quantize_level(q, Codebook(table))
+        np.testing.assert_array_equal(idx, want)
+        np.testing.assert_array_equal(z, table[want])
+
+    @pytest.mark.parametrize("unit", [False, True])
+    @pytest.mark.parametrize("d", [32, 128])
+    def test_opposite_float32_rounding_on_a_tie(self, d, unit):
+        x, table = _accumulation_ties(d, unit)
+        if unit:
+            want = _broadcast_quantize(x, table)
+            got = quantize_level(x, Codebook(table))[0]
+        else:
+            want, got = _broadcast_nearest(x, table), nearest_rows(x, table)
+        assert (want == 0).all()
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["zero", "nonzero"])
+    def test_degenerate_kmeans_memory_bounded(self, kind):
+        # a deep level's k-means input at desk shape: ~1000 copies of one
+        # sample, padded by 255 rows of 1e-4 jitter around it.  Every
+        # normalized row then lies within float32 rounding of every centre,
+        # so the float32 tier must hand the rows to the float64 shortlist
+        # instead of re-ranking all 256 candidates of each.  Before the
+        # float32 tier the peak was 3.65 MB (zero sample) and 4.62 MB
+        # (nonzero); the bound allows 2 MB on top of the larger.
+        rng = np.random.default_rng(3)
+        base = np.zeros(32) if kind == "zero" else rng.normal(size=32)
+        samples = np.tile(base, (1000, 1))
+        book = Codebook(np.zeros((256, 32)) + 0.5)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                kmeans_init(book, samples, iters=8, rng=np.random.default_rng(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (4.62 + 2.0) * 2 ** 20
+
+
+def test_trained_desk_books_match_broadcast_oracle(monkeypatch):
+    # one desk epoch from k-means init: the seeded books hold zero codewords
+    # (levels whose inputs had at most K distinct rows leave zero residuals)
+    # and 1e-4 padding jitter, the trained ones duplicates from reseeding
+    from rvqtok import tokenizer as tk
+    from rvqtok.config import load_config
+    from rvqtok.signals import SynthSpec, synth_generate
+
+    cfg = load_config(profile="desk").tokenizer_config()
+    recs = [synth_generate(SynthSpec(seed=50 + i, n_channels=8, duration=12.0,
+                                     sample_rate=128.0)) for i in range(6)]
+    seeded = []
+    real_step = tk.train_step
+
+    def step(batch, model, *args):
+        if not seeded:
+            seeded.extend(copy.deepcopy(model.stacks))
+        return real_step(batch, model, *args)
+
+    monkeypatch.setattr(tk, "train_step", step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model, _ = tk.train_tokenizer(recs, cfg, epochs=1, slots_per_window=2,
+                                      batch_size=4)
+    books = [b.entries for stack in seeded for b in stack.codebooks]
+    assert any((b == 0.0).all(axis=1).any() for b in books)
+    trained = [b.entries for stack in model.stacks for b in stack.codebooks]
+    assert any(np.unique(b, axis=0).shape[0] < b.shape[0] for b in trained)
+    val = tk.build_windows(recs, cfg.encoder.w, 2).val
+    assert val.n_windows > 0
+    reps = model.encoder.forward(val.patches, val.channel_idx, val.slot_idx)
+    for stacks in (seeded, model.stacks):
+        for rep, stack in zip(reps, stacks):
+            p = rep.data.reshape(-1, rep.shape[-1]) @ stack.down_proj.data
+            assign = stack.quantize_codes(p)
+            for i, book in enumerate(stack.codebooks):
+                np.testing.assert_array_equal(
+                    assign.indices[:, i],
+                    _broadcast_quantize(assign.level_inputs[i], book.entries))
 
 
 class TestRVQQuantize:

@@ -1,6 +1,8 @@
 """Windowing, tokenizer assembly, training steps, band evaluation, checkpoints."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -265,6 +267,29 @@ class TestTrainTokenizer:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
             train_tokenizer([], tiny_config(), epochs=1)
+
+    def test_whole_corpus_windows_freed_by_first_step(self, monkeypatch):
+        import rvqtok.tokenizer as tk
+
+        cuts, alive = [], []
+        real_build, real_step = tk.build_windows, tk.train_step
+
+        def build(*args, **kwargs):
+            windows = real_build(*args, **kwargs)
+            cuts.append(weakref.ref(windows))
+            return windows
+
+        def step(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in cuts))
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(tk, "build_windows", build)
+        monkeypatch.setattr(tk, "train_step", step)
+        train_tokenizer(tiny_corpus(n=3, seconds=6.0), tiny_config(), epochs=1,
+                        slots_per_window=2, batch_size=2)
+        assert len(cuts) == 1
+        assert alive and alive[0] == 0
 
     def test_same_seed_identical_curves(self):
         recs = tiny_corpus(n=3, seconds=6.0)
