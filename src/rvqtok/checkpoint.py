@@ -21,12 +21,15 @@ otherwise load into a different model.
 
 Models run in float64 and a checkpoint stores each value's float32
 rounding, so save -> load rounds.  Loading materializes exactly the stored
-f32 values, so a save -> load -> save cycle is byte-identical.
+f32 values, so a save -> load -> save cycle is byte-identical.  A loaded
+model holds its parameters in float64 and its codebook entries as the
+stored float32 arrays (widening them is exact, and training widens them
+first).
 
 ``restore`` loads a model without a second copy of it: the model is built
 from the header with every array zeroed (``ZeroDraws`` stands in for the
 random generator), then each payload array is read straight into its
-float64 destination, one array in flight at a time.
+destination, float64 or float32, one array in flight at a time.
 """
 
 from __future__ import annotations
@@ -53,10 +56,15 @@ class ZeroDraws:
     """Stands in for ``np.random.Generator`` when a model is built only to be
     filled from a checkpoint: every draw is zeros of the requested size, so
     building costs no random draws and large arrays take no memory until the
-    checkpoint writes them."""
+    checkpoint writes them.
+
+    ``normal`` draws codebook entries, the models' only normal draws, and
+    gives them in float32, the dtype a loaded book keeps; the other draws
+    are float64 parameters.
+    """
 
     def normal(self, loc=0.0, scale=1.0, size=None) -> np.ndarray:
-        return np.zeros(size)
+        return np.zeros(size, dtype=np.float32)
 
     def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
         return np.zeros(size)
@@ -155,14 +163,15 @@ def restore(path: str | Path, kind: str,
             build: Callable[[dict], tuple[Model, dict[str, np.ndarray]]]) -> Model:
     """Load a checkpoint of ``kind`` into a model built from its config.
 
-    ``build(config)`` returns the model and its float64 destination arrays
-    by stored name.  A config field it looks up and does not find raises a
-    CompatibilityError naming the field, and a field of the wrong type or
-    value a ParseError naming the path.  Every destination must be stored
-    with its shape, or a CompatibilityError names it; each stored array is
-    then converted into its destination in place, and stored arrays without
-    one are skipped.  A stored array with a NaN or infinite value raises a
-    ParseError naming it, before it is copied.
+    ``build(config)`` returns the model and its destination arrays, float64
+    or float32, by stored name.  A config field it looks up and does not
+    find raises a CompatibilityError naming the field, and a field of the
+    wrong type or value a ParseError naming the path.  Every destination
+    must be stored with its shape, or a CompatibilityError names it; each
+    stored array is then written into its destination in place (widened
+    for a float64 one, copied as it is into a float32 one), and stored
+    arrays without one are skipped.  A stored array with a NaN or infinite
+    value raises a ParseError naming it, before it is copied.
     """
     path = Path(path)
     with _payload(path) as (fh, stored_kind, config, manifest):

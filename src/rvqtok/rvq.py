@@ -29,7 +29,12 @@ codebooks are those of a full difference-form pass per centre, bit for bit.
 The quantizer searches the raw book: the GEMM's columns are scaled by
 1/||v||, and only shortlisted codewords are normalized (by
 ``normalize_rows``, as the broadcast would) for the re-rank, so a search
-holds no normalized copy of the book, only a float32 copy made per call.
+holds no normalized copy of the book.  A float64 book is narrowed to a
+float32 copy per call; a book loaded from a checkpoint is held as the
+stored float32 array, which the GEMM reads as it is, with its squared norms
+computed once at load.  The re-rank widens only its candidate rows, and
+widening a float32 value is exact, so every float64 value a search computes
+is the one it computes for the same values held in float64.
 
 A codebook's EMA sums are training state and start at the first EMA update
 or dead-code reset (or come from k-means); a book that is only searched,
@@ -75,22 +80,41 @@ def normalize_rows(v: np.ndarray) -> np.ndarray:
     return v / safe
 
 
+def squared_norms(table: np.ndarray) -> np.ndarray:
+    """Squared row norms of ``table``, in float64 over its rows widened to
+    float64: the values every search of the table uses."""
+    table = np.asarray(table, dtype=np.float64)
+    return np.einsum("ij,ij->i", table, table)
+
+
 @dataclass
 class Codebook:
-    """One quantization level: codeword table plus EMA learning state."""
+    """One quantization level: codeword table plus EMA learning state.
 
-    entries: np.ndarray                 # (K, d_c)
+    The table is float64, or float32 as a checkpoint stores it.  A float32
+    array is held as it is: a checkpoint load builds it zeroed and
+    ``restore`` fills it, rejecting non-finite values, and ``hold_norms``
+    then fixes it for searching.  Any other array is widened to float64 and
+    must be finite.  Training writes only float64: ``start_ema`` widens a
+    float32 table before the first write.
+    """
+
+    entries: np.ndarray                 # (K, d_c) float64, or float32 as stored
     ema_size: np.ndarray = None         # (K,)
     ema_sum: np.ndarray = None          # (K, d_c); None until training starts it
     usage: np.ndarray = None            # assignments since epoch start
     epoch_peak_size: np.ndarray = None  # max EMA size seen this epoch
     reservoir: np.ndarray = None        # recent level inputs, for reinit
+    norms: np.ndarray = None            # (K,) squared norms of a held float32 table
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.float64)
+        stored = (isinstance(self.entries, np.ndarray)
+                  and self.entries.dtype == np.float32)
+        if not stored:
+            self.entries = np.asarray(self.entries, dtype=np.float64)
         if self.entries.ndim != 2 or self.entries.shape[0] == 0:
             raise ConfigError("codebook needs a non-empty (K, d_c) entry table")
-        if not np.isfinite(self.entries).all():
+        if not stored and not np.isfinite(self.entries).all():
             raise ConfigError("codebook entries must be finite")
         K = self.entries.shape[0]
         if self.ema_size is None:
@@ -110,8 +134,21 @@ class Codebook:
     def dim(self) -> int:
         return self.entries.shape[1]
 
+    def hold_norms(self) -> None:
+        """Fix a float32 table for searching: compute its squared norms once
+        and make it read-only, so the norms cannot go stale."""
+        self.norms = squared_norms(self.entries)
+        self.entries.flags.writeable = False
+
     def start_ema(self) -> np.ndarray:
-        """The EMA sums, started as a copy of the entries on first use."""
+        """The EMA sums, started as a copy of the entries on first use.
+
+        Every write to a book's entries comes after this call: it widens a
+        float32 table to float64 and drops its held norms.
+        """
+        if self.entries.dtype != np.float64:
+            self.entries = self.entries.astype(np.float64)
+            self.norms = None
         if self.ema_sum is None:
             self.ema_sum = self.entries.copy()
         return self.ema_sum
@@ -125,8 +162,8 @@ def nearest_rows(x: np.ndarray, table: np.ndarray,
     ``argmin(((x[:, None] - table[None]) ** 2).sum(-1), axis=1)`` exactly,
     with ``normalize_rows(table)`` in place of ``table`` if ``unit_table``.
 
-    Each block of rows runs one float32 GEMM against a float32 copy of the
-    table.  A row whose best float32 distance beats its second best by more
+    Each block of rows runs one float32 GEMM against the table in float32.
+    A row whose best float32 distance beats its second best by more
     than the float32 rounding bound (see ``_slack32``) takes that pick; a row
     with at most ``SHORTLIST_CAP`` entries within the bound of its best
     re-ranks them by the float64 difference form ((x - t)^2).sum(-1); the
@@ -137,12 +174,25 @@ def nearest_rows(x: np.ndarray, table: np.ndarray,
     are scaled by -2/||t|| in one multiply and each unit row's squared norm,
     the same for every entry, is dropped.  Only shortlisted codewords are
     normalized, by ``normalize_rows`` as the broadcast would.
+
+    A float32 ``table`` is the GEMM's operand as it is; a float64 one is
+    narrowed to a float32 copy per call.  The re-rank widens only its
+    candidate rows, and ``_search64`` the whole table for the rare rows that
+    reach it.  Widening is exact, so a float32 table's picks are those of
+    the same values held in float64.  Any other table is taken as float64.
     """
+    if not (isinstance(table, np.ndarray) and table.dtype == np.float32):
+        table = np.asarray(table, dtype=np.float64)
+    return _nearest_rows(x, table, squared_norms(table), unit_table)
+
+
+def _nearest_rows(x: np.ndarray, table: np.ndarray, tt: np.ndarray,
+                  unit_table: bool) -> np.ndarray:
+    """``nearest_rows`` for a float32 or float64 ``table`` whose squared row
+    norms are ``tt`` (see ``squared_norms``)."""
     x = np.asarray(x, dtype=np.float64)
-    table = np.asarray(table, dtype=np.float64)
     n, d = x.shape
     K = table.shape[0]
-    tt = np.einsum("ij,ij->i", table, table)
     xx = np.einsum("ij,ij->i", x, x)
     # Entries outside the ranges where _slack32's bound holds are always
     # candidates; rows outside them take the float64 path, as does every row
@@ -162,9 +212,12 @@ def nearest_rows(x: np.ndarray, table: np.ndarray,
     if forced.size > SHORTLIST_CAP or d > 4096:
         fast[:] = False
     slack = _slack32(d, xx, top)
-    with np.errstate(over="ignore"):  # entries that overflow are zeroed
-        t32 = table.astype(np.float32)
-    t32[forced] = 0.0
+    # a float32 table is the GEMM's operand as it is, copied only to zero
+    # forced entries
+    with np.errstate(over="ignore"):  # entries that overflow are forced
+        t32 = table.astype(np.float32, copy=bool(forced.size))
+    if forced.size:
+        t32[forced] = 0.0
     c32 = colscale.astype(np.float32)
     tt32 = None if unit_table else np.where(safe, tt, 0.0).astype(np.float32)
 
@@ -179,7 +232,7 @@ def nearest_rows(x: np.ndarray, table: np.ndarray,
         slow.append(sub[hard])
     slow = np.concatenate(slow)
     if slow.size:
-        idx[slow] = _search64(x[slow], table, unit_table)
+        idx[slow] = _search64(x[slow], table, tt, unit_table)
     return idx
 
 
@@ -238,7 +291,8 @@ def _rerank(x: np.ndarray, table: np.ndarray, r: np.ndarray, c: np.ndarray,
     """Pick per row of ``x`` the candidate ``table`` row nearest by the
     difference form, ties to the lowest index: the broadcast's own float64
     values.  (r, c) lists every row's candidates, rows ascending and each
-    row's columns ascending; every row has at least one."""
+    row's columns ascending; every row has at least one.  Candidate rows of
+    a float32 table are widened, exactly, as they are read."""
     cand = normalize_rows(table[c]) if unit_table else table[c]
     diff = x[r]
     diff -= cand
@@ -250,8 +304,10 @@ def _rerank(x: np.ndarray, table: np.ndarray, r: np.ndarray, c: np.ndarray,
     return c[order[first]]
 
 
-def _search64(x: np.ndarray, table: np.ndarray, unit_table: bool) -> np.ndarray:
-    """``nearest_rows`` by a float64 GEMM shortlist.
+def _search64(x: np.ndarray, table: np.ndarray, tt: np.ndarray,
+              unit_table: bool) -> np.ndarray:
+    """``nearest_rows`` by a float64 GEMM shortlist, for a table whose
+    squared row norms are ``tt``.
 
     Rows are searched ``SEARCH_BLOCK // K`` at a time: one GEMM computes
     ||x||^2 + ||t||^2 - 2 x.t, keeps every entry within ``SEARCH_SLACK`` of
@@ -260,8 +316,9 @@ def _search64(x: np.ndarray, table: np.ndarray, unit_table: bool) -> np.ndarray:
     row's squared norm is taken as 1, both within a few epsilons where
     ||t||^2 is a well-scaled normal number; rows outside that range (zero,
     or a squared norm that underflows or overflows) are always candidates.
+    A float32 table is widened for the GEMM.
     """
-    tt = np.einsum("ij,ij->i", table, table)
+    table = np.asarray(table, dtype=np.float64)
     odd = np.zeros(tt.shape, dtype=bool)
     if unit_table:
         odd = ~((tt > 1e-280) & (tt < 1e280))
@@ -304,19 +361,23 @@ def quantize_level(p: np.ndarray, book: Codebook) -> tuple[np.ndarray, np.ndarra
     rounding, and the rest re-rank their near ties by the float64
     difference form, so the picks are those of the (B, K, d) broadcast
     ||q^ - v^||^2, including duplicate, collinear and all-zero codewords.
+    They use the book's held squared norms where it has them.  The
+    codewords are float64 whatever the book's dtype.
     """
     p = np.asarray(p, dtype=np.float64)
     single = p.ndim == 1
     q = p[None, :] if single else p
     if q.shape[-1] != book.dim:
         raise ShapeError(f"query dim {q.shape[-1]} != codebook dim {book.dim}")
+    table = book.entries
+    tt = squared_norms(table) if book.norms is None else book.norms
     zero_rows = np.linalg.norm(q, axis=-1) == 0.0
     idx = np.empty(q.shape[0], dtype=np.int64)
-    idx[~zero_rows] = nearest_rows(normalize_rows(q[~zero_rows]), book.entries,
-                                   unit_table=True)
+    idx[~zero_rows] = _nearest_rows(normalize_rows(q[~zero_rows]), table, tt,
+                                    unit_table=True)
     if zero_rows.any():
-        idx[zero_rows] = nearest_rows(q[zero_rows], book.entries)
-    z = book.entries[idx]
+        idx[zero_rows] = _nearest_rows(q[zero_rows], table, tt, unit_table=False)
+    z = table[idx].astype(np.float64, copy=False)
     if single:
         return idx[0], z[0]
     return idx, z
@@ -432,12 +493,13 @@ def ema_update(book: Codebook, indices: np.ndarray, inputs: np.ndarray,
         raise ConfigError(f"decay must lie in (0, 1), got {decay}")
     indices = np.asarray(indices, dtype=np.int64)
     inputs = np.asarray(inputs, dtype=np.float64)
+    ema_sum = book.start_ema()  # first: the sums below take the entries' dtype
     K = book.K
     counts = np.bincount(indices, minlength=K).astype(np.float64)
     sums = np.zeros_like(book.entries)
     np.add.at(sums, indices, inputs)
     book.ema_size = decay * book.ema_size + (1.0 - decay) * counts
-    book.ema_sum = decay * book.start_ema() + (1.0 - decay) * sums
+    book.ema_sum = decay * ema_sum + (1.0 - decay) * sums
     n = book.ema_size.sum()
     if n > 0:
         smoothed = (book.ema_size + EMA_EPS) / (n + K * EMA_EPS) * n
@@ -569,6 +631,7 @@ def kmeans_init(book: Codebook, samples: np.ndarray, iters: int = 10,
         assign = new_assign
 
     # store raw cluster means; empty clusters keep a raw sample as their entry
+    book.start_ema()  # widens a float32 table before the writes below
     counts = np.bincount(assign, minlength=K).astype(np.float64)
     raw_sums = np.zeros((K, book.dim))
     np.add.at(raw_sums, assign, samples)

@@ -324,6 +324,26 @@ def evaluate(model: TokenizerModel, windows: WindowSet,
     return out
 
 
+def seed_codebooks(model: TokenizerModel, train_set: WindowSet,
+                   batch_size: int, seed: int) -> None:
+    """Seed every codebook by k-means over the code-space inputs of the
+    leading training windows, about 2K rows and at least one batch; with
+    fewer than K rows the books keep their random draws.  The set-up arrays
+    are freed on return."""
+    K = model.cfg.codebook_size
+    P = train_set.patches.shape[1]
+    n_init = min(train_set.n_windows, max(batch_size, math.ceil(2 * K / P)))
+    if n_init * P < K:
+        return
+    first = train_set.subset(np.arange(train_set.n_windows) < n_init)
+    reps = model.encoder.forward(first.patches, first.channel_idx,
+                                 first.slot_idx)
+    for s, stack in enumerate(model.stacks):
+        flat = reps[s].data.reshape(-1, reps[s].shape[-1])
+        kmeans_init_stack(stack, flat @ stack.down_proj.data, iters=8,
+                          rng=np.random.default_rng(seed + 10 + s))
+
+
 def train_tokenizer(dataset: list[Recording], cfg: TokenizerConfig,
                     epochs: int, slots_per_window: int = 2, batch_size: int = 8,
                     base_lr: float = 1e-3, min_lr: float = 1e-5,
@@ -349,19 +369,7 @@ def train_tokenizer(dataset: list[Recording], cfg: TokenizerConfig,
         return model, curves
     rng = np.random.default_rng(seed + 1)
     step = 0
-
-    # codebooks start as k-means over leading windows' code-space inputs
-    P = train_set.patches.shape[1]
-    n_init = min(train_set.n_windows,
-                 max(batch_size, math.ceil(2 * cfg.codebook_size / P)))
-    first = train_set.subset(np.arange(train_set.n_windows) < n_init)
-    if first.n_windows * P >= cfg.codebook_size:
-        reps = model.encoder.forward(first.patches, first.channel_idx,
-                                     first.slot_idx)
-        for s, stack in enumerate(model.stacks):
-            flat = reps[s].data.reshape(-1, reps[s].shape[-1])
-            kmeans_init_stack(stack, flat @ stack.down_proj.data, iters=8,
-                              rng=np.random.default_rng(seed + 10 + s))
+    seed_codebooks(model, train_set, batch_size, seed)
 
     for epoch in range(1, epochs + 1):
         for stack in model.stacks:
@@ -465,7 +473,11 @@ def save_tokenizer(model: TokenizerModel, path) -> None:
 
 
 def load_tokenizer(path, expected: TokenizerConfig | None = None) -> TokenizerModel:
-    """A tokenizer ready for inference; its EMA state starts when training does."""
+    """A tokenizer ready for inference; its EMA state starts when training does.
+
+    Each codebook is held as the stored float32 array, with its squared
+    norms computed once here; training the model widens its books first.
+    """
     def build(snap: dict):
         if expected is not None:
             want = _config_snapshot(expected)
@@ -475,4 +487,8 @@ def load_tokenizer(path, expected: TokenizerConfig | None = None) -> TokenizerMo
         model = TokenizerModel(config_from_snapshot(snap), rng=ZeroDraws())
         return model, _stored_arrays(model)
 
-    return restore(path, "tokenizer", build)
+    model = restore(path, "tokenizer", build)
+    for stack in model.stacks:
+        for book in stack.codebooks:
+            book.hold_norms()
+    return model

@@ -1,17 +1,19 @@
 """The binary checkpoint container, and tokenizer and backbone checkpoints."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rvqtok.checkpoint import (FORMAT_VERSION, load_arrays, require_field,
-                               save_arrays)
+from rvqtok.checkpoint import (FORMAT_VERSION, ZeroDraws, load_arrays,
+                               require_field, save_arrays)
+from rvqtok.config import load_config
 from rvqtok.errors import CompatibilityError, ParseError
 from rvqtok.pretrain import (BackboneModel, extract_features, load_backbone,
                              save_backbone)
-from rvqtok.tokenizer import (_config_snapshot, build_windows, load_tokenizer,
-                              save_tokenizer, train_tokenizer)
+from rvqtok.tokenizer import (TokenizerModel, _config_snapshot, build_windows,
+                              load_tokenizer, save_tokenizer, train_tokenizer)
 from tests.test_pretrain import tiny_pretrain_config
 from tests.test_tokenizer import tiny_config, tiny_corpus
 
@@ -134,8 +136,27 @@ class TestModelCheckpoints:
             loaded.append(load(tmp_path / kind))
         tok, backbone = loaded
         assert all(b.ema_sum is None for s in tok.stacks for b in s.codebooks)
-        assert all(p.m is None and p.v is None
+        assert all(p.m is None and p.v is None and p.data.dtype == np.float64
                    for p in tok.params() + backbone.params())
+
+    def test_loaded_tokenizer_holds_books_as_stored(self, tmp_path, trained):
+        # parameters widen to float64; each book stays the stored float32
+        # array, read-only, with squared norms computed once over its rows
+        # widened to float64, bit for bit as a search of them computes
+        _, model = trained
+        save_tokenizer(model, tmp_path / "a.ckpt")
+        loaded = load_tokenizer(tmp_path / "a.ckpt")
+        assert all(p.data.dtype == np.float64 for p in loaded.params())
+        for stack, ref in zip(loaded.stacks, model.stacks):
+            for book, ref_book in zip(stack.codebooks, ref.codebooks):
+                assert book.entries.dtype == np.float32
+                assert not book.entries.flags.writeable
+                np.testing.assert_array_equal(book.entries,
+                                              ref_book.entries.astype(np.float32))
+                wide = book.entries.astype(np.float64)
+                want = np.einsum("ij,ij->i", wide, wide)
+                assert book.norms.dtype == want.dtype
+                assert book.norms.tobytes() == want.tobytes()
 
     def test_trained_tokenizer_save_load_save_byte_identical(self, tmp_path, trained):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -287,3 +308,21 @@ def test_dropped_setting_at_the_implemented_value_loads_identically(tmp_path, tr
                               extract_features(from_new, wins))
         save_backbone(from_old, again)
     assert again.read_bytes() == new.read_bytes()
+
+
+def test_paper_tokenizer_load_memory_bounded(tmp_path):
+    # a paper-profile checkpoint: 4 stacks of 8 books of 8192 x 128 and
+    # 15M parameters.  The values do not change what a load allocates, so
+    # the model is built zeroed.  Traced peak of the load: 327.7 MiB with
+    # every book widened to float64, 201.5 MiB with the books held as the
+    # stored float32 (193.5 MiB of it kept).
+    cfg = load_config(profile="paper").tokenizer_config()
+    path = tmp_path / "paper.ckpt"
+    save_tokenizer(TokenizerModel(cfg, rng=ZeroDraws()), path)
+    tracemalloc.start()
+    try:
+        load_tokenizer(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 240 * 2 ** 20

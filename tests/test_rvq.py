@@ -319,10 +319,13 @@ class TestFloat32Tier:
         assert peak < (4.62 + 2.0) * 2 ** 20
 
 
-def test_trained_desk_books_match_broadcast_oracle(monkeypatch):
-    # one desk epoch from k-means init: the seeded books hold zero codewords
-    # (levels whose inputs had at most K distinct rows leave zero residuals)
-    # and 1e-4 padding jitter, the trained ones duplicates from reseeding
+@pytest.fixture(scope="module")
+def desk_books():
+    """One desk epoch from k-means init: the corpus, the stacks as k-means
+    seeded them, and the trained model.  The seeded books hold zero
+    codewords (levels whose inputs had at most K distinct rows leave zero
+    residuals) and 1e-4 padding jitter, the trained ones duplicates from
+    reseeding."""
     from rvqtok import tokenizer as tk
     from rvqtok.config import load_config
     from rvqtok.signals import SynthSpec, synth_generate
@@ -338,11 +341,19 @@ def test_trained_desk_books_match_broadcast_oracle(monkeypatch):
             seeded.extend(copy.deepcopy(model.stacks))
         return real_step(batch, model, *args)
 
-    monkeypatch.setattr(tk, "train_step", step)
-    with warnings.catch_warnings():
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(tk, "train_step", step)
         warnings.simplefilter("ignore")
         model, _ = tk.train_tokenizer(recs, cfg, epochs=1, slots_per_window=2,
                                       batch_size=4)
+    return recs, seeded, model
+
+
+def test_trained_desk_books_match_broadcast_oracle(desk_books):
+    from rvqtok import tokenizer as tk
+
+    recs, seeded, model = desk_books
+    cfg = model.cfg
     books = [b.entries for stack in seeded for b in stack.codebooks]
     assert any((b == 0.0).all(axis=1).any() for b in books)
     trained = [b.entries for stack in model.stacks for b in stack.codebooks]
@@ -358,6 +369,163 @@ def test_trained_desk_books_match_broadcast_oracle(monkeypatch):
                 np.testing.assert_array_equal(
                     assign.indices[:, i],
                     _broadcast_quantize(assign.level_inputs[i], book.entries))
+
+
+def test_loaded_desk_books_match_the_same_values_in_float64(desk_books,
+                                                           tmp_path, monkeypatch):
+    # the seeded and trained desk models, saved and loaded: each stack's
+    # float32 books cascade to the indices, codewords and residuals of
+    # float64 books holding the same values, and each book searched with its
+    # own entries picks as they do, level by level.  One seeded level is
+    # padded from a single nonzero input, as k-means pads a level whose
+    # inputs repeat: its 256 entries lie within float32 rounding of each
+    # other, so its rows reach the float64 GEMM shortlist with the float32
+    # table.
+    from rvqtok import tokenizer as tk
+
+    recs, seeded, model = desk_books
+    val = tk.build_windows(recs, model.cfg.encoder.w, 2).val
+    searched = []
+    real_search64 = rvq._search64
+
+    def search64(x, table, *args):
+        searched.append(table.dtype)
+        return real_search64(x, table, *args)
+
+    seeded_model = copy.copy(model)
+    seeded_model.stacks = copy.deepcopy(seeded)
+    padded = seeded_model.stacks[0].codebooks[-1]
+    one = np.random.default_rng(4).normal(size=(1, padded.dim))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        kmeans_init(padded, np.repeat(one, 2 * padded.K, axis=0),
+                    rng=np.random.default_rng(4))
+    for n, trained in enumerate((seeded_model, model)):
+        tk.save_tokenizer(trained, tmp_path / f"{n}.ckpt")
+        loaded = tk.load_tokenizer(tmp_path / f"{n}.ckpt")
+        reps = loaded.encoder.forward(val.patches, val.channel_idx, val.slot_idx)
+        for rep, stack in zip(reps, loaded.stacks):
+            wide = RVQStack([Codebook(b.entries.astype(np.float64))
+                             for b in stack.codebooks],
+                            stack.down_proj, stack.up_proj)
+            p = rep.data.reshape(-1, rep.shape[-1]) @ stack.down_proj.data
+            monkeypatch.setattr(rvq, "_search64", search64)
+            got = stack.quantize_codes(p)
+            own = [quantize_level(w.entries, b)
+                   for w, b in zip(wide.codebooks, stack.codebooks)]
+            monkeypatch.setattr(rvq, "_search64", real_search64)
+            want = wide.quantize_codes(p)
+            for name in ("indices", "codewords", "level_inputs", "residual"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            for i, book in enumerate(wide.codebooks):
+                np.testing.assert_array_equal(
+                    got.indices[:, i],
+                    _broadcast_quantize(got.level_inputs[i], book.entries))
+                for a, b in zip(own[i], quantize_level(book.entries, book)):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                np.testing.assert_array_equal(
+                    own[i][0], _broadcast_quantize(book.entries, book.entries))
+    assert np.dtype(np.float32) in searched
+
+
+def test_training_a_loaded_tokenizer_widens_its_books(desk_books, tmp_path):
+    # two steps and a dead-code reset on a loaded desk tokenizer write what
+    # they write on the same model with its books widened by hand
+    from rvqtok import tokenizer as tk
+
+    recs, _, model = desk_books
+    tk.save_tokenizer(model, tmp_path / "tok.ckpt")
+    held, wide = (tk.load_tokenizer(tmp_path / "tok.ckpt") for _ in range(2))
+    for stack in wide.stacks:
+        stack.codebooks = [Codebook(b.entries.astype(np.float64))
+                           for b in stack.codebooks]
+    batches = [b for _, b in tk.build_windows(recs, model.cfg.encoder.w, 2)
+               .train.batches(4)][:2]
+    for m in (held, wide):
+        for batch in batches:
+            tk.train_step(batch, m, 1e-3, 1e-4)
+        for stack in m.stacks:
+            for book in stack.codebooks:
+                end_epoch_reinit(book, rng=np.random.default_rng(7))
+    for a, b in zip(held.params(), wide.params()):
+        for x, y in ((a.data, b.data), (a.m, b.m), (a.v, b.v)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), a.name
+    for sa, sb in zip(held.stacks, wide.stacks):
+        for a, b in zip(sa.codebooks, sb.codebooks):
+            assert a.entries.dtype == np.float64 and a.norms is None
+            for name in ("entries", "ema_sum", "ema_size"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+class TestHeldFloat32Book:
+    """A paper-shape (8192 x 128) book held as float32, as a load holds it."""
+
+    @staticmethod
+    def _book(rng):
+        book = Codebook(rng.normal(size=(8192, 128)).astype(np.float32))
+        book.hold_norms()
+        return book
+
+    def test_matches_the_same_values_in_float64(self):
+        rng = np.random.default_rng(14)
+        held = self._book(rng)
+        wide = Codebook(held.entries.astype(np.float64))
+        wide_rows = wide.entries
+        np.testing.assert_array_equal(held.norms,
+                                      np.einsum("ij,ij->i", wide_rows, wide_rows))
+        assert held.norms.dtype == np.float64
+        q = rng.normal(size=(64, 128))
+        near = rng.integers(0, 8192, size=32)
+        q[:32] = wide_rows[near] * (1.0 + 1e-7 * rng.standard_normal((32, 128)))
+        q[32] = 0.0
+        for a, b in zip(quantize_level(q, held), quantize_level(q, wide)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        np.testing.assert_array_equal(nearest_rows(q, held.entries),
+                                      nearest_rows(q, wide_rows))
+
+    def test_window_search_copies_no_table(self):
+        # one paper-profile window: the float32 book is the shortlist GEMM's
+        # operand as it is, where a float64 book is narrowed to a 4 MB copy
+        rng = np.random.default_rng(13)
+        book = self._book(rng)
+        q = rng.normal(size=(64, 128))
+        tracemalloc.start()
+        try:
+            quantize_level(q, book)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < book.entries.nbytes
+
+
+@pytest.mark.parametrize("write", ["ema", "reinit", "kmeans"])
+def test_writes_widen_a_held_book_first(write):
+    # a held float32 table is read-only; every training write widens it to
+    # float64 and drops its norms first, leaving untouched entries' values
+    rng = np.random.default_rng(15)
+    book = Codebook(rng.normal(size=(16, 4)).astype(np.float32))
+    book.hold_norms()
+    with pytest.raises(ValueError):
+        book.entries[0] = 0.0
+    stored = book.entries
+    if write == "ema":
+        ema_update(book, np.array([3, 3, 9]), rng.normal(size=(3, 4)))
+        touched = [3, 9]
+    elif write == "reinit":
+        book.epoch_peak_size[:] = 5.0
+        book.epoch_peak_size[[2, 7]] = 0.0
+        end_epoch_reinit(book, rng.normal(size=(5, 4)), rng)
+        touched = [2, 7]
+    else:
+        kmeans_init(book, rng.normal(size=(40, 4)), iters=2, rng=rng)
+        touched = list(range(16))
+    assert book.entries.dtype == np.float64 and book.norms is None
+    assert book.ema_sum.dtype == np.float64
+    kept = np.ones(16, dtype=bool)
+    kept[touched] = False
+    np.testing.assert_array_equal(book.entries[kept], stored[kept])
 
 
 class TestRVQQuantize:

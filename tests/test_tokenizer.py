@@ -291,6 +291,32 @@ class TestTrainTokenizer:
         assert len(cuts) == 1
         assert alive and alive[0] == 0
 
+    def test_kmeans_setup_arrays_freed_by_first_step(self, monkeypatch):
+        # the leading windows k-means seeds from and their encoder outputs
+        import rvqtok.tokenizer as tk
+        from rvqtok.encoder import MultiScaleEncoder
+
+        refs, alive = [], []
+        real_forward, real_step = MultiScaleEncoder.forward, tk.train_step
+
+        def forward(self, patches, *args):
+            reps = real_forward(self, patches, *args)
+            if not alive:  # before the first step: the set-up's forward
+                refs.extend(weakref.ref(a) for a in [patches] + [r.data for r in reps])
+            return reps
+
+        def step(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(MultiScaleEncoder, "forward", forward)
+        monkeypatch.setattr(tk, "train_step", step)
+        train_tokenizer(tiny_corpus(n=3, seconds=6.0), tiny_config(), epochs=1,
+                        slots_per_window=2, batch_size=2)
+        assert len(refs) == 1 + tiny_config().encoder.S
+        assert alive and alive[0] == 0
+
     def test_same_seed_identical_curves(self):
         recs = tiny_corpus(n=3, seconds=6.0)
         results = []
