@@ -2,8 +2,8 @@
 
 Layout: 8-byte magic, u32 format version, u64 header length, JSON header,
 then concatenated little-endian float32 payloads in header order.  The
-header carries the kind tag, a config snapshot, and the name/shape manifest
-of every array.
+header carries the kind tag, the model's config, and the name/shape
+manifest of every array.
 
 A checkpoint stores what inference reads: every parameter and, for a
 tokenizer, every codebook's entries.  Training state (EMA cluster sizes and
@@ -12,12 +12,17 @@ stored; a model trained after loading starts that state afresh.  Files
 written before the EMA arrays were dropped still load: arrays the runtime
 has no place for are skipped.
 
-Headers of older files may carry settings the runtime has since dropped
-(``dtype``, ``fusion``, ``qk_norm``).  ``dtype`` is ignored.  ``fusion``
-and ``qk_norm`` are ignored at the one value the runtime implements
-(``"sum"``, ``true``); any other value is rejected with a
-CompatibilityError naming the key, since the stored arrays would
-otherwise load into a different model.
+The config part of the header is written and read here only:
+``config_header`` stores the encoder's fields flat beside the fields the
+config's class names in ``HEADER_FIELDS``, and ``config_from_header``
+rebuilds the config, looking each field up by name so that a missing one
+is reported rather than defaulted.
+
+Headers of older files may carry settings the runtime has since dropped.
+``dtype`` is ignored.  The settings in ``DROPPED_FIELDS`` are ignored at
+the one value the runtime implements; any other value is rejected with a
+CompatibilityError naming the key, since the stored arrays would otherwise
+load into a different model.
 
 Models run in float64 and a checkpoint stores each value's float32
 rounding, so save -> load rounds.  Loading materializes exactly the stored
@@ -39,17 +44,23 @@ import math
 import os
 import struct
 from contextlib import contextmanager
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable, TypeVar
 
 import numpy as np
 
+from .encoder import BranchConfig, EncoderConfig
 from .errors import CompatibilityError, ConfigError, ParseError, ShapeError
 
 MAGIC = b"RVQTCKPT"
 FORMAT_VERSION = 1
 
 Model = TypeVar("Model")
+
+#: Settings older headers stored that the runtime has dropped, each at the
+#: one value the runtime implements.
+DROPPED_FIELDS = {"fusion": "sum", "qk_norm": True}
 
 
 class ZeroDraws:
@@ -206,20 +217,44 @@ def restore(path: str | Path, kind: str,
     return model
 
 
-def require_field(config: dict, field: str, expected) -> None:
-    """Raise a CompatibilityError naming the field when values disagree."""
-    if field not in config:
-        raise CompatibilityError(f"checkpoint missing config field {field!r}")
-    if config[field] != expected:
-        raise CompatibilityError(
-            f"checkpoint field {field!r} is {config[field]!r}, runtime expects {expected!r}")
+def config_header(cfg) -> dict:
+    """The header form of a tokenizer or pretraining config: the encoder's
+    fields flat, beside the fields its class names in ``HEADER_FIELDS``."""
+    return {**asdict(cfg.encoder),
+            **{name: getattr(cfg, name) for name in cfg.HEADER_FIELDS}}
 
 
-def reject_dropped_field(config: dict, field: str, implemented) -> None:
-    """Raise a CompatibilityError naming ``field``, a setting the runtime no
-    longer has, when an older header stores it at another value than the
-    one the runtime implements."""
-    if field in config and config[field] != implemented:
-        raise CompatibilityError(
-            f"checkpoint field {field!r} is {config[field]!r}; this runtime "
-            f"implements only {implemented!r}")
+def _build(cls, record: dict, **given):
+    """``cls`` with every field not ``given`` looked up in ``record``; the
+    JSON lists of tuple fields become tuples."""
+    values = {}
+    for f in fields(cls):
+        if f.name not in given:
+            v = record[f.name]
+            values[f.name] = tuple(v) if isinstance(f.default, tuple) else v
+    return cls(**values, **given)
+
+
+def config_from_header(cls, header: dict):
+    """Inverse of :func:`config_header`.  A missing field raises a KeyError
+    naming it, and a dropped setting at another value than the implemented
+    one a CompatibilityError."""
+    for name, implemented in DROPPED_FIELDS.items():
+        if name in header and header[name] != implemented:
+            raise CompatibilityError(
+                f"checkpoint field {name!r} is {header[name]!r}; this runtime "
+                f"implements only {implemented!r}")
+    branches = [_build(BranchConfig, b) for b in header["branches"]]
+    return cls(encoder=_build(EncoderConfig, header, branches=branches),
+               **{name: header[name] for name in cls.HEADER_FIELDS})
+
+
+def require_fields(header: dict, expected: dict, names) -> None:
+    """Raise a CompatibilityError naming the first of ``names`` on which
+    ``header`` disagrees with the ``expected`` header."""
+    for name in names:
+        if name not in header:
+            raise CompatibilityError(f"checkpoint missing config field {name!r}")
+        if header[name] != expected[name]:
+            raise CompatibilityError(f"checkpoint field {name!r} is {header[name]!r}, "
+                                     f"runtime expects {expected[name]!r}")

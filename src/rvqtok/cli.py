@@ -23,7 +23,7 @@ from .errors import (CompatibilityError, ConfigError, NumericError, ParseError,
                      ShapeError)
 from .gradsuite import run_suite
 from .pretrain import (load_backbone, pretrain, probe_corpus, run_linear_probe,
-                       save_backbone)
+                       save_backbone, teacher_tokens)
 from .signals import (Recording, STANDARD_BANDS, SynthSpec, load_recording,
                       save_recording, synth_generate)
 from .spectral import forward_spectrum
@@ -232,18 +232,11 @@ def _cmd_train_tokenizer(run: _Run, args) -> int:
     return 0
 
 
-def _windows_for_model(cfg: RunConfig, model, recs):
-    return build_windows(recs, model.cfg.encoder.w,
-                         cfg.get("train", "slots_per_window"), val_fraction=0.0)
-
-
 def _cmd_tokenize(run: _Run, args) -> int:
     model = load_tokenizer(args.checkpoint)
-    recs = _corpus(run.cfg)
-    windows = _windows_for_model(run.cfg, model, recs)
-    idx = np.concatenate([
-        model.token_indices(chunk.patches, chunk.channel_idx, chunk.slot_idx)
-        for _, chunk in windows.batches(INFERENCE_BATCH)])
+    windows = build_windows(_corpus(run.cfg), model.cfg.encoder.w,
+                            run.cfg.get("train", "slots_per_window"), val_fraction=0.0)
+    idx = teacher_tokens(windows, model)
     W, P, S, N = idx.shape
     patch, branch, level = np.indices((W * P, S, N)).reshape(3, -1).tolist()
     rows = zip(patch, branch, level, idx.reshape(-1).tolist())

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .checkpoint import reject_dropped_field
 from .errors import ConfigError
 from .optim import Parameter
 
@@ -100,20 +99,6 @@ class EncoderConfig:
                 f"model_dim {self.model_dim} not divisible by {self.heads} heads")
         for b in self.branches:
             b.validate(self.w)
-
-
-def encoder_from_snapshot(snap: dict) -> EncoderConfig:
-    """Inverse of ``asdict(cfg)``, the form checkpoint headers store; an
-    older header's ``qk_norm`` must be true."""
-    reject_dropped_field(snap, "qk_norm", True)
-    branches = [BranchConfig(filters=tuple(b["filters"]), kernels=tuple(b["kernels"]),
-                             paddings=tuple(b["paddings"]), pools=tuple(b["pools"]),
-                             groups=b["groups"]) for b in snap["branches"]]
-    return EncoderConfig(w=snap["w"], model_dim=snap["model_dim"], S=snap["S"],
-                         depth=snap["depth"], heads=snap["heads"],
-                         mlp_dim=snap["mlp_dim"], n_electrodes=snap["n_electrodes"],
-                         max_slots=snap["max_slots"],
-                         layer_scale_init=snap["layer_scale_init"], branches=branches)
 
 
 class Linear:

@@ -10,39 +10,34 @@ and slot embeddings stay visible.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .checkpoint import ZeroDraws, require_field, restore, save_arrays
-from .encoder import EncoderConfig, Linear, MultiScaleEncoder, encoder_from_snapshot
+from .checkpoint import (ZeroDraws, config_from_header, config_header, require_fields,
+                         restore, save_arrays)
+from .encoder import EncoderConfig, Linear, MultiScaleEncoder
 from .errors import ConfigError, NumericError
 from .optim import Parameter, adamw_step, cosine_warmup_lr
 from .signals import Recording
-from .tokenizer import (INFERENCE_BATCH, TokenizerModel, WindowSet, build_windows,
-                        _config_snapshot)
+from .tokenizer import INFERENCE_BATCH, TokenizerModel, WindowSet, build_windows
 
 
 @dataclass
 class MaskPlan:
-    """A boolean patch mask and its complement; two views of one sample."""
+    """A boolean patch mask; it and its complement are the two views of one
+    sample."""
 
-    mask: np.ndarray        # (P,) bool
-    complement: np.ndarray  # (P,) bool
+    mask: np.ndarray  # (P,) bool
     ratio: float
-
-    def __post_init__(self):
-        if self.mask.shape != self.complement.shape:
-            raise ConfigError("mask and complement shapes differ")
-        if not np.array_equal(self.complement, ~self.mask):
-            raise ConfigError("complement must be the exact negation of the mask")
 
 
 def make_symmetric_masks(P: int, rho: float, seed: int | np.random.Generator = 0
                          ) -> MaskPlan:
-    """Uniformly random mask of round(rho * P) patches plus its complement."""
+    """Uniformly random mask of round(rho * P) patches."""
     if not 0.0 < rho < 1.0:
         raise ConfigError(f"mask ratio must lie in (0, 1), got {rho}")
     if P < 2:
@@ -53,7 +48,7 @@ def make_symmetric_masks(P: int, rho: float, seed: int | np.random.Generator = 0
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     mask = np.zeros(P, dtype=bool)
     mask[rng.choice(P, size=k, replace=False)] = True
-    return MaskPlan(mask, ~mask, rho)
+    return MaskPlan(mask, rho)
 
 
 @dataclass
@@ -73,6 +68,9 @@ class PretrainConfig:
     # (None: same as slots_per_window)
     teacher_slots: int | None = None
     seed: int = 0
+    #: what a checkpoint header stores beside the encoder's fields
+    HEADER_FIELDS: ClassVar[tuple[str, ...]] = (
+        "levels", "codebook_size", "mask_ratio", "slots_per_window")
 
     def __post_init__(self):
         if not 0.0 < self.mask_ratio < 1.0:
@@ -163,12 +161,10 @@ def align_teacher(target: WindowSet, teacher_windows: WindowSet,
     return rows.reshape(W, P, S, N).astype(np.int64, copy=False)
 
 
-def check_teacher_compat(tokenizer_cfg_snapshot: dict, cfg: PretrainConfig) -> None:
+def check_teacher_compat(tokenizer_header: dict, cfg: PretrainConfig) -> None:
     """The backbone must agree with the tokenizer on w, S, N and K."""
-    want = {"w": cfg.encoder.w, "S": cfg.encoder.S, "levels": cfg.levels,
-            "codebook_size": cfg.codebook_size}
-    for fieldname, expected in want.items():
-        require_field(tokenizer_cfg_snapshot, fieldname, expected)
+    require_fields(tokenizer_header, config_header(cfg),
+                   ("w", "S", "levels", "codebook_size"))
 
 
 def _view_loss(backbone: BackboneModel, batch: WindowSet, masks: np.ndarray,
@@ -258,7 +254,7 @@ class PretrainResult:
 def pretrain(dataset: list[Recording], cfg: PretrainConfig,
              tokenizer: TokenizerModel) -> PretrainResult:
     """Epoch loop over symmetric-mask views with a cosine schedule."""
-    check_teacher_compat(_config_snapshot(tokenizer.cfg), cfg)
+    check_teacher_compat(config_header(tokenizer.cfg), cfg)
     windows = build_windows(dataset, cfg.encoder.w, cfg.slots_per_window)
     train_set, val_set = windows.train, windows.val
     if train_set.n_windows == 0:
@@ -403,28 +399,18 @@ def fit_linear_probe(X: np.ndarray, labels: np.ndarray,
 # checkpointing
 
 
-def _backbone_snapshot(cfg: PretrainConfig) -> dict:
-    return {**asdict(cfg.encoder), "levels": cfg.levels,
-            "codebook_size": cfg.codebook_size, "mask_ratio": cfg.mask_ratio,
-            "slots_per_window": cfg.slots_per_window}
-
-
 def _stored_arrays(backbone: BackboneModel) -> dict[str, np.ndarray]:
     return {f"param.{p.name}": p.data for p in backbone.params()}
 
 
 def save_backbone(backbone: BackboneModel, path) -> None:
-    save_arrays(path, "backbone", _backbone_snapshot(backbone.cfg),
-                _stored_arrays(backbone))
+    save_arrays(path, "backbone", config_header(backbone.cfg), _stored_arrays(backbone))
 
 
 def load_backbone(path) -> BackboneModel:
-    def build(snap: dict):
-        cfg = PretrainConfig(encoder=encoder_from_snapshot(snap), levels=snap["levels"],
-                             codebook_size=snap["codebook_size"],
-                             mask_ratio=snap["mask_ratio"],
-                             slots_per_window=snap["slots_per_window"])
-        backbone = BackboneModel(cfg, rng=ZeroDraws())
+    def build(header: dict):
+        backbone = BackboneModel(config_from_header(PretrainConfig, header),
+                                 rng=ZeroDraws())
         return backbone, _stored_arrays(backbone)
 
     return restore(path, "backbone", build)

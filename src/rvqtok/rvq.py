@@ -32,9 +32,10 @@ The quantizer searches the raw book: the GEMM's columns are scaled by
 holds no normalized copy of the book.  A float64 book is narrowed to a
 float32 copy per call; a book loaded from a checkpoint is held as the
 stored float32 array, which the GEMM reads as it is, with its squared norms
-computed once at load.  The re-rank widens only its candidate rows, and
-widening a float32 value is exact, so every float64 value a search computes
-is the one it computes for the same values held in float64.
+computed once at load and used while the array stays read-only.  The
+re-rank widens only its candidate rows, and widening a float32 value is
+exact, so every float64 value a search computes is the one it computes for
+the same values held in float64.
 
 A codebook's EMA sums are training state and start at the first EMA update
 or dead-code reset (or come from k-means); a book that is only searched,
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, straight_through  # noqa: F401  (re-exported)
+from .autodiff import Tensor
 from .errors import ConfigError, NumericError, ShapeError
 from .optim import Parameter
 
@@ -136,7 +137,9 @@ class Codebook:
 
     def hold_norms(self) -> None:
         """Fix a float32 table for searching: compute its squared norms once
-        and make it read-only, so the norms cannot go stale."""
+        and make it read-only.  A search uses the norms only while the table
+        stays read-only, so a writable copy of the book cannot use stale
+        ones."""
         self.norms = squared_norms(self.entries)
         self.entries.flags.writeable = False
 
@@ -361,8 +364,8 @@ def quantize_level(p: np.ndarray, book: Codebook) -> tuple[np.ndarray, np.ndarra
     rounding, and the rest re-rank their near ties by the float64
     difference form, so the picks are those of the (B, K, d) broadcast
     ||q^ - v^||^2, including duplicate, collinear and all-zero codewords.
-    They use the book's held squared norms where it has them.  The
-    codewords are float64 whatever the book's dtype.
+    They use the book's held squared norms while its table is read-only.
+    The codewords are float64 whatever the book's dtype.
     """
     p = np.asarray(p, dtype=np.float64)
     single = p.ndim == 1
@@ -370,7 +373,10 @@ def quantize_level(p: np.ndarray, book: Codebook) -> tuple[np.ndarray, np.ndarra
     if q.shape[-1] != book.dim:
         raise ShapeError(f"query dim {q.shape[-1]} != codebook dim {book.dim}")
     table = book.entries
-    tt = squared_norms(table) if book.norms is None else book.norms
+    # a deepcopy or unpickled copy of a held book is writable and keeps the
+    # norms, which a write into it makes stale
+    held = book.norms is not None and not table.flags.writeable
+    tt = book.norms if held else squared_norms(table)
     zero_rows = np.linalg.norm(q, axis=-1) == 0.0
     idx = np.empty(q.shape[0], dtype=np.int64)
     idx[~zero_rows] = _nearest_rows(normalize_rows(q[~zero_rows]), table, tt,

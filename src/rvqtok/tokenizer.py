@@ -10,17 +10,16 @@ context.  Slot embeddings index within the window.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Iterator
+from dataclasses import dataclass, field
+from typing import ClassVar, Iterator
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .checkpoint import (ZeroDraws, reject_dropped_field, require_field, restore,
-                         save_arrays)
-from .encoder import (EncoderConfig, Linear, MultiScaleEncoder, TransformerStack,
-                      encoder_from_snapshot)
+from .checkpoint import (ZeroDraws, config_from_header, config_header, require_fields,
+                         restore, save_arrays)
+from .encoder import EncoderConfig, Linear, MultiScaleEncoder, TransformerStack
 from .errors import ConfigError, NumericError
 from .optim import Parameter, adamw_step, clip_global_norm, cosine_warmup_lr
 from .rvq import (RVQStack, TokenAssignment, begin_epoch, end_epoch_reinit,
@@ -40,6 +39,10 @@ class TokenizerConfig:
     commitment_beta: float = 0.25
     ema_decay: float = 0.99
     lambda_circle: float = 0.4
+    #: what a checkpoint header stores beside the encoder's fields
+    HEADER_FIELDS: ClassVar[tuple[str, ...]] = (
+        "levels", "codebook_size", "code_dim", "decoder_depth",
+        "commitment_beta", "ema_decay", "lambda_circle")
 
     def __post_init__(self):
         if self.levels < 1:
@@ -435,29 +438,6 @@ def eval_per_band(model: TokenizerModel, recordings: list[Recording],
 # checkpointing
 
 
-def _config_snapshot(cfg: TokenizerConfig) -> dict:
-    return {
-        **asdict(cfg.encoder),
-        "levels": cfg.levels, "codebook_size": cfg.codebook_size,
-        "code_dim": cfg.code_dim, "decoder_depth": cfg.decoder_depth,
-        "commitment_beta": cfg.commitment_beta, "ema_decay": cfg.ema_decay,
-        "lambda_circle": cfg.lambda_circle,
-    }
-
-
-def config_from_snapshot(snap: dict) -> TokenizerConfig:
-    """Inverse of :func:`_config_snapshot`; an older header's ``fusion``
-    must be ``"sum"``."""
-    reject_dropped_field(snap, "fusion", "sum")
-    return TokenizerConfig(encoder=encoder_from_snapshot(snap), levels=snap["levels"],
-                           codebook_size=snap["codebook_size"],
-                           code_dim=snap["code_dim"],
-                           decoder_depth=snap["decoder_depth"],
-                           commitment_beta=snap["commitment_beta"],
-                           ema_decay=snap["ema_decay"],
-                           lambda_circle=snap["lambda_circle"])
-
-
 def _stored_arrays(model: TokenizerModel) -> dict[str, np.ndarray]:
     """What a tokenizer checkpoint stores: parameters, then codebook entries."""
     arrays = {f"param.{p.name}": p.data for p in model.params()}
@@ -468,8 +448,7 @@ def _stored_arrays(model: TokenizerModel) -> dict[str, np.ndarray]:
 
 
 def save_tokenizer(model: TokenizerModel, path) -> None:
-    save_arrays(path, "tokenizer", _config_snapshot(model.cfg),
-                _stored_arrays(model))
+    save_arrays(path, "tokenizer", config_header(model.cfg), _stored_arrays(model))
 
 
 def load_tokenizer(path, expected: TokenizerConfig | None = None) -> TokenizerModel:
@@ -478,13 +457,12 @@ def load_tokenizer(path, expected: TokenizerConfig | None = None) -> TokenizerMo
     Each codebook is held as the stored float32 array, with its squared
     norms computed once here; training the model widens its books first.
     """
-    def build(snap: dict):
+    def build(header: dict):
         if expected is not None:
-            want = _config_snapshot(expected)
-            for fieldname in ("w", "S", "levels", "codebook_size", "code_dim",
-                              "model_dim"):
-                require_field(snap, fieldname, want[fieldname])
-        model = TokenizerModel(config_from_snapshot(snap), rng=ZeroDraws())
+            require_fields(header, config_header(expected),
+                           ("w", "S", "levels", "codebook_size", "code_dim", "model_dim"))
+        model = TokenizerModel(config_from_header(TokenizerConfig, header),
+                               rng=ZeroDraws())
         return model, _stored_arrays(model)
 
     model = restore(path, "tokenizer", build)

@@ -1,18 +1,21 @@
 """The binary checkpoint container, and tokenizer and backbone checkpoints."""
 
+import hashlib
+import json
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from rvqtok.checkpoint import (FORMAT_VERSION, ZeroDraws, load_arrays,
-                               require_field, save_arrays)
+from rvqtok.checkpoint import (FORMAT_VERSION, ZeroDraws, config_from_header,
+                               config_header, load_arrays, require_fields,
+                               save_arrays)
 from rvqtok.config import load_config
 from rvqtok.errors import CompatibilityError, ParseError
-from rvqtok.pretrain import (BackboneModel, extract_features, load_backbone,
-                             save_backbone)
-from rvqtok.tokenizer import (TokenizerModel, _config_snapshot, build_windows,
+from rvqtok.pretrain import (BackboneModel, PretrainConfig, extract_features,
+                             load_backbone, save_backbone)
+from rvqtok.tokenizer import (TokenizerConfig, TokenizerModel, build_windows,
                               load_tokenizer, save_tokenizer, train_tokenizer)
 from tests.test_pretrain import tiny_pretrain_config
 from tests.test_tokenizer import tiny_config, tiny_corpus
@@ -76,13 +79,14 @@ def test_missing_file(tmp_path):
 
 
 def test_require_field_names_the_field():
+    want = {"w": 200, "levels": 4}
     with pytest.raises(CompatibilityError) as err:
-        require_field({"w": 64}, "w", 200)
-    assert "'w'" in str(err.value)
+        require_fields({"w": 64, "levels": 4}, want, ("levels", "w"))
+    assert "'w' is 64, runtime expects 200" in str(err.value)
     with pytest.raises(CompatibilityError) as err:
-        require_field({}, "levels", 4)
-    assert "levels" in str(err.value)
-    require_field({"w": 64}, "w", 64)  # no raise
+        require_fields({"w": 200}, want, ("w", "levels"))
+    assert "missing config field 'levels'" in str(err.value)
+    require_fields({"w": 64, "levels": 4}, want, ("levels",))  # no raise
 
 
 def test_negative_shape_rejected(tmp_path):
@@ -183,7 +187,7 @@ class TestModelCheckpoints:
                 arrays[f"codebook.{s}.{i}.ema_size"] = book.ema_size
                 arrays[f"codebook.{s}.{i}.ema_sum"] = book.ema_sum
         old, new, again = (tmp_path / n for n in ("old.ckpt", "new.ckpt", "again.ckpt"))
-        save_arrays(old, "tokenizer", _config_snapshot(model.cfg), arrays)
+        save_arrays(old, "tokenizer", config_header(model.cfg), arrays)
         save_tokenizer(model, new)
         from_old = load_tokenizer(old)
         assert np.array_equal(_tokens(from_old, recs),
@@ -268,10 +272,11 @@ def test_wrong_kind_rejected(tmp_path, trained, kind):
 
 def _parent_format(kind, path, trained, **header):
     """Rewrite a saved checkpoint as the earlier layout wrote it: the header
-    also stored ``qk_norm`` and, for a tokenizer, ``fusion``."""
+    also stored ``dtype``, ``qk_norm`` and, for a tokenizer, ``fusion``."""
     _save(kind, path, trained)
     stored_kind, snap, arrays = load_arrays(path)
-    dropped = {"qk_norm": True, **({"fusion": "sum"} if kind == "tokenizer" else {})}
+    dropped = {"dtype": "float32", "qk_norm": True,
+               **({"fusion": "sum"} if kind == "tokenizer" else {})}
     if header.get("fusion") == "concat":
         # a concat tokenizer also stored its fusion projection, S * D -> D
         d = snap["model_dim"]
@@ -326,3 +331,91 @@ def test_paper_tokenizer_load_memory_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 240 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the config header codec
+
+#: The desk profile's config headers as the on-disk format stores them.
+DESK_HEADERS = {
+    "tokenizer": {
+        "S": 4, "branches": [
+            {"filters": [8, 8], "groups": 4, "kernels": [21, 9], "paddings": [10, 4],
+             "pools": [2, 4]},
+            {"filters": [8, 8], "groups": 4, "kernels": [15, 7], "paddings": [7, 3],
+             "pools": [2, 4]},
+            {"filters": [8, 8], "groups": 4, "kernels": [9, 5], "paddings": [4, 2],
+             "pools": [2, 4]},
+            {"filters": [8, 8], "groups": 4, "kernels": [5, 3], "paddings": [2, 1],
+             "pools": [2, 4]}],
+        "code_dim": 32, "codebook_size": 256, "commitment_beta": 0.25,
+        "decoder_depth": 1, "depth": 2, "ema_decay": 0.99, "heads": 4,
+        "lambda_circle": 0.4, "layer_scale_init": 0.001, "levels": 4, "max_slots": 8,
+        "mlp_dim": 256, "model_dim": 64, "n_electrodes": 8, "w": 64},
+    "backbone": {
+        "S": 4, "branches": [
+            {"filters": [8, 8], "groups": 4, "kernels": [21, 9], "paddings": [10, 4],
+             "pools": [2, 4]},
+            {"filters": [8, 8], "groups": 4, "kernels": [15, 7], "paddings": [7, 3],
+             "pools": [2, 4]},
+            {"filters": [8, 8], "groups": 4, "kernels": [9, 5], "paddings": [4, 2],
+             "pools": [2, 4]},
+            {"filters": [8, 8], "groups": 4, "kernels": [5, 3], "paddings": [2, 1],
+             "pools": [2, 4]}],
+        "codebook_size": 256, "depth": 4, "heads": 4, "layer_scale_init": 0.1,
+        "levels": 4, "mask_ratio": 0.5, "max_slots": 8, "mlp_dim": 256,
+        "model_dim": 64, "n_electrodes": 8, "slots_per_window": 2, "w": 64},
+}
+#: SHA-256 of the desk checkpoints' whole JSON header: kind, config and the
+#: manifest of array names and shapes.
+DESK_HEADER_SHA256 = {
+    "tokenizer": "3eee6119b556f7b1f15c6c29a673d184ab6906f75e0560f52d26c389d122ded3",
+    "backbone": "72fa256f12e23d79723b205fc8dd5f8348ad57c15abd0c97937a4a0fec8cb361",
+}
+
+
+@pytest.mark.parametrize("profile", ["desk", "paper"])
+def test_config_header_round_trips_through_json(profile):
+    cfg = load_config(profile=profile)
+    tok = cfg.tokenizer_config()
+    header = json.loads(json.dumps(config_header(tok)))
+    assert config_from_header(TokenizerConfig, header) == tok
+    pre = cfg.pretrain_config()
+    back = config_from_header(PretrainConfig, json.loads(json.dumps(config_header(pre))))
+    assert back.encoder == pre.encoder
+    for name in PretrainConfig.HEADER_FIELDS:
+        assert getattr(back, name) == getattr(pre, name)
+
+
+@pytest.mark.parametrize("kind", list(LOADERS))
+def test_desk_header_format_pinned(tmp_path, kind):
+    cfg = load_config(profile="desk")
+    path = tmp_path / "desk.ckpt"
+    if kind == "tokenizer":
+        save_tokenizer(TokenizerModel(cfg.tokenizer_config(), rng=ZeroDraws()), path)
+    else:
+        save_backbone(BackboneModel(cfg.pretrain_config(), rng=ZeroDraws()), path)
+    assert load_arrays(path)[1] == DESK_HEADERS[kind]
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[12:20])
+    assert hashlib.sha256(raw[20:20 + hlen]).hexdigest() == DESK_HEADER_SHA256[kind]
+
+
+def _header_keys(kind):
+    header = DESK_HEADERS[kind]
+    return ([(kind, key, False) for key in header]
+            + [(kind, key, True) for key in header["branches"][0]])
+
+
+@pytest.mark.parametrize("kind, key, in_branch",
+                         _header_keys("tokenizer") + _header_keys("backbone"))
+def test_missing_header_field_rejected_naming_it(tmp_path, trained, kind, key,
+                                                 in_branch):
+    path = tmp_path / "model.ckpt"
+    _save(kind, path, trained)
+    stored_kind, header, arrays = load_arrays(path)
+    del (header["branches"][-1] if in_branch else header)[key]
+    save_arrays(path, stored_kind, header, arrays)
+    with pytest.raises(CompatibilityError,
+                       match=f"checkpoint missing config field '{key}'"):
+        LOADERS[kind](path)

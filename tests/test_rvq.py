@@ -1,6 +1,7 @@
 """Nearest-neighbor quantization, residual cascades, EMA learning, k-means init."""
 
 import copy
+import pickle
 import tracemalloc
 import warnings
 
@@ -11,14 +12,13 @@ from hypothesis import strategies as st
 
 from rvqtok import autodiff as ad
 from rvqtok import rvq
-from rvqtok.autodiff import Tape, Tensor, backward
+from rvqtok.autodiff import Tape, Tensor, backward, straight_through
 from rvqtok.errors import ConfigError, NumericError, ShapeError
 from rvqtok.optim import Parameter
 from rvqtok.rvq import (Codebook, RVQStack, begin_epoch, end_epoch_reinit,
                         ema_update, kmeans_init, kmeans_init_stack,
                         nearest_rows, normalize_rows, quantization_loss,
-                        quantize_level, straight_through, update_centers,
-                        weighted_index)
+                        quantize_level, update_centers, weighted_index)
 
 
 def _stack(model_dim=6, code_dim=4, levels=2, entries=8, seed=0, identity=False):
@@ -526,6 +526,24 @@ def test_writes_widen_a_held_book_first(write):
     kept = np.ones(16, dtype=bool)
     kept[touched] = False
     np.testing.assert_array_equal(book.entries[kept], stored[kept])
+
+
+@pytest.mark.parametrize("duplicate", ["deepcopy", "pickle"])
+def test_written_copy_of_a_held_book_does_not_use_its_old_norms(duplicate):
+    # a copy of a held book has a writable table that still carries the
+    # held norms; once the copy is written they are stale, and the search
+    # must not use them
+    book = Codebook(np.array([[1, 0], [0, 1], [1, 1], [1, -1]], dtype=np.float32))
+    book.hold_norms()
+    dup = (copy.deepcopy(book) if duplicate == "deepcopy"
+           else pickle.loads(pickle.dumps(book)))
+    assert dup.entries.flags.writeable and dup.norms is not None
+    dup.entries[1] = [0, 5]
+    q = np.array([[0.8, 0.6]])
+    idx, _ = quantize_level(q, dup)
+    assert idx.tolist() == _broadcast_quantize(q, dup.entries).tolist() == [2]
+    # the held book itself keeps its norms and its picks
+    assert quantize_level(q, book)[0].tolist() == [2]
 
 
 class TestRVQQuantize:
