@@ -23,22 +23,24 @@ from .errors import NumericError, ShapeError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+#: Variance floor of groupnorm and layernorm.
+NORM_EPS = 1e-5
+#: Central-difference step of ``grad_check``.
+FD_STEP = 1e-5
 
 
 class Tensor:
-    """A dense real array, optionally tracked for gradients.
+    """A dense float64 array, optionally tracked for gradients.
 
-    Values are immutable once created (training only ever mutates leaf
-    parameter data between steps); ``grad`` is the lone mutable accumulator.
+    Data of any dtype is held as float64.  Values are immutable once created
+    (training only ever mutates leaf parameter data between steps); ``grad``
+    is the lone mutable accumulator.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
 
@@ -273,28 +275,24 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _record("concat", tensors, np.concatenate([t.data for t in tensors], axis=axis), bwd)
 
 
-def tsum(a: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis: int | tuple[int, ...] | None = None) -> Tensor:
+    out = a.data.sum(axis=axis)
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        if not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
     return _record("sum", (a,), out, bwd)
 
 
-def tmean(a: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
-    out = a.data.mean(axis=axis, keepdims=keepdims)
+def tmean(a: Tensor, axis: int | tuple[int, ...] | None = None) -> Tensor:
+    out = a.data.mean(axis=axis)
     count = a.size if axis is None else np.prod(
         [a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape) / count,)
-        if not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape) / count,)
 
@@ -391,7 +389,7 @@ def avgpool1d(x: Tensor, width: int) -> Tensor:
 # normalization
 
 
-def groupnorm(x: Tensor, gain: Tensor, bias: Tensor, groups: int, eps: float = 1e-5) -> Tensor:
+def groupnorm(x: Tensor, gain: Tensor, bias: Tensor, groups: int) -> Tensor:
     """Group normalization over (C/groups, L) blocks of x (B, C, L)."""
     from .errors import ConfigError
 
@@ -403,7 +401,7 @@ def groupnorm(x: Tensor, gain: Tensor, bias: Tensor, groups: int, eps: float = 1
     xg = x.data.reshape(B, groups, C // groups * L)
     mu = xg.mean(axis=2, keepdims=True)
     var = xg.var(axis=2, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = ((xg - mu) * inv).reshape(B, C, L)
     out = xhat * gain.data[:, None] + bias.data[:, None]
 
@@ -420,11 +418,11 @@ def groupnorm(x: Tensor, gain: Tensor, bias: Tensor, groups: int, eps: float = 1
     return _record("groupnorm", (x, gain, bias), out, bwd)
 
 
-def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Layer normalization over the last axis."""
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = (x.data - mu) * inv
     out = xhat * gain.data + bias.data
 
@@ -551,7 +549,7 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
 
     qh, kh, vh = split(q), split(k), split(v)
     kt = transpose(kh, tuple(range(kh.ndim - 2)) + (kh.ndim - 1, kh.ndim - 2))
-    scores = mul(matmul(qh, kt), Tensor(np.asarray(1.0 / math.sqrt(d_head), dtype=q.dtype)))
+    scores = mul(matmul(qh, kt), Tensor(1.0 / math.sqrt(d_head)))
     att = softmax(scores, axis=-1)
     ctx = matmul(att, vh)  # (..., heads, P, d_head)
     perm_back = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
@@ -566,13 +564,13 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
 # the finite-difference harness
 
 
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
+def grad_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
     """Max relative disagreement between tape gradients and central differences.
 
-    Relative error per coordinate is |analytic - numeric| / max(1, |numeric|);
-    arithmetic runs in 64-bit regardless of the input dtype.
+    Relative error per coordinate is |analytic - numeric| / max(1, |numeric|),
+    with central differences of step ``FD_STEP``.
     """
-    base = np.asarray(x.data, dtype=np.float64)
+    base = x.data
     xt = Tensor(base.copy(), requires_grad=True)
     with Tape() as tape:
         loss = f(xt)
@@ -587,14 +585,14 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> flo
     flat = base.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + FD_STEP
         hi = f(Tensor(base.copy())).item()
-        flat[i] = orig - h
+        flat[i] = orig - FD_STEP
         lo = f(Tensor(base.copy())).item()
         flat[i] = orig
         if not (math.isfinite(hi) and math.isfinite(lo)):
             raise NumericError(f"non-finite finite-difference sample at coordinate {i}")
-        numeric = (hi - lo) / (2.0 * h)
+        numeric = (hi - lo) / (2.0 * FD_STEP)
         ana = analytic.reshape(-1)[i]
         if not math.isfinite(ana):
             raise NumericError(f"non-finite analytic gradient at coordinate {i}")

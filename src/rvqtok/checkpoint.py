@@ -16,7 +16,7 @@ The config part of the header is written and read here only:
 ``config_header`` stores the encoder's fields flat beside the fields the
 config's class names in ``HEADER_FIELDS``, and ``config_from_header``
 rebuilds the config, looking each field up by name so that a missing one
-is reported rather than defaulted.
+is reported rather than defaulted, and checking each value's type.
 
 Headers of older files may carry settings the runtime has since dropped.
 ``dtype`` is ignored.  The settings in ``DROPPED_FIELDS`` are ignored at
@@ -161,15 +161,6 @@ def _next_array(fh, path: Path, name: str, shape: tuple) -> np.ndarray:
     return np.frombuffer(buf, dtype="<f4").reshape(shape)
 
 
-def load_arrays(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]:
-    """Every stored array as float32, with the header's kind and config."""
-    path = Path(path)
-    with _payload(path) as (fh, kind, config, manifest):
-        arrays = {name: _next_array(fh, path, name, shape).copy()
-                  for name, shape in manifest}
-    return kind, config, arrays
-
-
 def restore(path: str | Path, kind: str,
             build: Callable[[dict], tuple[Model, dict[str, np.ndarray]]]) -> Model:
     """Load a checkpoint of ``kind`` into a model built from its config.
@@ -224,29 +215,45 @@ def config_header(cfg) -> dict:
             **{name: getattr(cfg, name) for name in cfg.HEADER_FIELDS}}
 
 
-def _build(cls, record: dict, **given):
-    """``cls`` with every field not ``given`` looked up in ``record``; the
-    JSON lists of tuple fields become tuples."""
+def _build(cls, record: dict, names=None, **given):
+    """``cls`` with each field of ``names`` (default: every field not
+    ``given``) looked up in ``record``.  A value must match its field's
+    default: an int field takes a JSON integer (not a boolean), a float
+    field an integer or a finite number, and a tuple field a list of as many
+    integers, which becomes a tuple; any other value raises a TypeError
+    naming the field."""
     values = {}
     for f in fields(cls):
-        if f.name not in given:
-            v = record[f.name]
-            values[f.name] = tuple(v) if isinstance(f.default, tuple) else v
+        if f.name in given or (names is not None and f.name not in names):
+            continue
+        v, want = record[f.name], f.default
+        if type(want) is tuple:
+            ok = (type(v) is list and len(v) == len(want)
+                  and all(type(n) is int for n in v))
+            v = tuple(v) if ok else v
+        elif type(want) is float:
+            ok = type(v) in (int, float) and math.isfinite(v)
+        else:
+            ok = type(v) is type(want)
+        if not ok:
+            raise TypeError(f"{f.name} is {v!r}, not a {type(want).__name__} "
+                            f"like {want!r}")
+        values[f.name] = v
     return cls(**values, **given)
 
 
 def config_from_header(cls, header: dict):
     """Inverse of :func:`config_header`.  A missing field raises a KeyError
-    naming it, and a dropped setting at another value than the implemented
-    one a CompatibilityError."""
+    naming it, a value of the wrong type a TypeError, and a dropped setting
+    at another value than the implemented one a CompatibilityError."""
     for name, implemented in DROPPED_FIELDS.items():
         if name in header and header[name] != implemented:
             raise CompatibilityError(
                 f"checkpoint field {name!r} is {header[name]!r}; this runtime "
                 f"implements only {implemented!r}")
     branches = [_build(BranchConfig, b) for b in header["branches"]]
-    return cls(encoder=_build(EncoderConfig, header, branches=branches),
-               **{name: header[name] for name in cls.HEADER_FIELDS})
+    return _build(cls, header, cls.HEADER_FIELDS,
+                  encoder=_build(EncoderConfig, header, branches=branches))
 
 
 def require_fields(header: dict, expected: dict, names) -> None:

@@ -181,13 +181,14 @@ class TemporalBranch:
 
 
 class EmbeddingTables:
-    """Learnable channel (spatial) and time-slot (temporal) embedding rows."""
+    """Learnable channel (spatial) and time-slot (temporal) embedding rows,
+    drawn with standard deviation 0.01."""
 
     def __init__(self, n_electrodes: int, max_slots: int, w: int,
-                 rng: np.random.Generator, scale: float = 0.01):
-        self.spatial = Parameter(scale * rng.standard_normal((n_electrodes, w)),
+                 rng: np.random.Generator):
+        self.spatial = Parameter(0.01 * rng.standard_normal((n_electrodes, w)),
                                  "tables.spatial")
-        self.temporal = Parameter(scale * rng.standard_normal((max_slots, w)),
+        self.temporal = Parameter(0.01 * rng.standard_normal((max_slots, w)),
                                   "tables.temporal")
 
     def params(self):

@@ -39,13 +39,16 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.tensor.shape})"
 
 
-def adamw_step(params: Iterable[Parameter],
-               lr: float = 1e-3,
-               betas: tuple[float, float] = (0.9, 0.999),
-               weight_decay: float = 0.0,
-               eps: float = 1e-8) -> None:
+#: AdamW's decay rates of the first and second moments.
+ADAM_BETAS = (0.9, 0.999)
+#: Floor added to AdamW's denominator.
+ADAM_EPS = 1e-8
+
+
+def adamw_step(params: Iterable[Parameter], lr: float = 1e-3,
+               weight_decay: float = 0.0) -> None:
     """Decoupled-weight-decay Adam update, in place."""
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     for p in params:
         g = p.tensor.grad
         if g is None:
@@ -60,8 +63,7 @@ def adamw_step(params: Iterable[Parameter],
         mhat = p.m / (1.0 - b1 ** p.step)
         vhat = p.v / (1.0 - b2 ** p.step)
         new = p.data * (1.0 - lr * weight_decay) if weight_decay else p.data
-        new = new - (lr * mhat / (np.sqrt(vhat) + eps))
-        p.tensor.data = new.astype(p.data.dtype, copy=False)
+        p.tensor.data = new - (lr * mhat / (np.sqrt(vhat) + ADAM_EPS))
 
 
 def clip_global_norm(params: Iterable[Parameter], max_norm: float) -> float:
@@ -70,7 +72,7 @@ def clip_global_norm(params: Iterable[Parameter], max_norm: float) -> float:
     total = 0.0
     for p in params:
         if p.tensor.grad is not None:
-            total += float(np.sum(p.tensor.grad.astype(np.float64) ** 2))
+            total += float(np.sum(p.tensor.grad ** 2))
     norm = math.sqrt(total)
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm

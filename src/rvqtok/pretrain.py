@@ -32,7 +32,6 @@ class MaskPlan:
     sample."""
 
     mask: np.ndarray  # (P,) bool
-    ratio: float
 
 
 def make_symmetric_masks(P: int, rho: float, seed: int | np.random.Generator = 0
@@ -48,7 +47,14 @@ def make_symmetric_masks(P: int, rho: float, seed: int | np.random.Generator = 0
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     mask = np.zeros(P, dtype=bool)
     mask[rng.choice(P, size=k, replace=False)] = True
-    return MaskPlan(mask, rho)
+    return MaskPlan(mask)
+
+
+def draw_masks(batch: WindowSet, rho: float, rng: np.random.Generator) -> np.ndarray:
+    """One symmetric mask per window of ``batch``, drawn in window order:
+    a (W, P) bool array."""
+    return np.stack([make_symmetric_masks(batch.patches.shape[1], rho, rng).mask
+                     for _ in range(batch.n_windows)])
 
 
 @dataclass
@@ -228,17 +234,14 @@ def pretrain_step(batch: WindowSet, masks: np.ndarray, backbone: BackboneModel,
 
 
 def masked_metrics(backbone: BackboneModel, windows: WindowSet,
-                   teacher: np.ndarray, rho: float, seed: int,
-                   batch_size: int = INFERENCE_BATCH) -> tuple[float, float]:
+                   teacher: np.ndarray, rho: float, seed: int) -> tuple[float, float]:
     """(cross entropy, accuracy) at masked positions with seeded masks."""
     rng = np.random.default_rng(seed)
     losses, correct, masked = [], 0, 0
     heads = None
-    for idx, chunk in windows.batches(batch_size):
-        plans = [make_symmetric_masks(chunk.patches.shape[1], rho, rng)
-                 for _ in range(chunk.n_windows)]
-        masks = np.stack([p.mask for p in plans])
-        loss, c, m, heads = _view_loss(backbone, chunk, masks, teacher[idx])
+    for idx, chunk in windows.batches(INFERENCE_BATCH):
+        loss, c, m, heads = _view_loss(backbone, chunk, draw_masks(chunk, rho, rng),
+                                       teacher[idx])
         losses.append(loss.item() * m)
         correct += c
         masked += m
@@ -280,13 +283,10 @@ def pretrain(dataset: list[Recording], cfg: PretrainConfig,
         order = rng.permutation(train_set.n_windows)
         ep_loss, ep_acc, n_batches = 0.0, 0.0, 0
         for idx, batch in train_set.batches(cfg.batch_size, order):
-            plans = [make_symmetric_masks(batch.patches.shape[1], cfg.mask_ratio, rng)
-                     for _ in range(batch.n_windows)]
-            masks = np.stack([p.mask for p in plans])
             lr = cosine_warmup_lr(step, total_steps, warmup_steps,
                                   cfg.base_lr, cfg.min_lr)
-            loss, acc = pretrain_step(batch, masks, backbone,
-                                      teacher_train[idx], lr)
+            loss, acc = pretrain_step(batch, draw_masks(batch, cfg.mask_ratio, rng),
+                                      backbone, teacher_train[idx], lr)
             ep_loss += loss
             ep_acc += acc
             n_batches += 1
@@ -302,8 +302,7 @@ def pretrain(dataset: list[Recording], cfg: PretrainConfig,
     return PretrainResult(backbone, curves)
 
 
-def extract_features(backbone: BackboneModel, windows: WindowSet,
-                     batch_size: int = INFERENCE_BATCH) -> np.ndarray:
+def extract_features(backbone: BackboneModel, windows: WindowSet) -> np.ndarray:
     """Unmasked per-patch embeddings: the S branch representations
     concatenated in branch order, extents (n_patches, S * D).
 
@@ -312,7 +311,7 @@ def extract_features(backbone: BackboneModel, windows: WindowSet,
     what preserves the per-band information.
     """
     rows = []
-    for _, chunk in windows.batches(batch_size):
+    for _, chunk in windows.batches(INFERENCE_BATCH):
         reps = backbone.forward(chunk.patches, chunk.channel_idx, chunk.slot_idx)
         joined = np.concatenate([r.data for r in reps], axis=-1)  # (B, P, S*D)
         rows.append(joined.reshape(-1, joined.shape[-1]))
@@ -347,21 +346,21 @@ def probe_corpus(n_per_class: int, channels: int, sample_rate: float,
 
 
 def run_linear_probe(backbone: BackboneModel, recordings: list[Recording],
-                     labels: np.ndarray, slots_per_window: int = 2,
-                     train_fraction: float = 0.75, ridge: float = 1e-2
+                     labels: np.ndarray, slots_per_window: int = 2
                      ) -> dict[str, float]:
     """Ridge-regression probe on recording-averaged features.
 
     Windows of ``slots_per_window`` slots (the backbone's pretraining window
     length) are embedded by :func:`extract_features` and averaged per
-    recording; :func:`fit_linear_probe` does the split and the fit.
+    recording; :func:`fit_linear_probe` does the split and the fit at its
+    default training fraction and ridge.
     """
     w = backbone.cfg.encoder.w
     feats = []
     for rec in recordings:
         wins = build_windows([rec], w, slots_per_window, val_fraction=0.0)
         feats.append(extract_features(backbone, wins).mean(axis=0))
-    return fit_linear_probe(np.vstack(feats), labels, train_fraction, ridge)
+    return fit_linear_probe(np.vstack(feats), labels)
 
 
 def fit_linear_probe(X: np.ndarray, labels: np.ndarray,

@@ -157,13 +157,11 @@ class Codebook:
         return self.ema_sum
 
 
-def nearest_rows(x: np.ndarray, table: np.ndarray,
-                 unit_table: bool = False) -> np.ndarray:
+def nearest_rows(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Index of the nearest ``table`` row to each row of ``x`` (B, d).
 
     Squared Euclidean distance, ties to the lowest index; the picks equal
-    ``argmin(((x[:, None] - table[None]) ** 2).sum(-1), axis=1)`` exactly,
-    with ``normalize_rows(table)`` in place of ``table`` if ``unit_table``.
+    ``argmin(((x[:, None] - table[None]) ** 2).sum(-1), axis=1)`` exactly.
 
     Each block of rows runs one float32 GEMM against the table in float32.
     A row whose best float32 distance beats its second best by more
@@ -173,11 +171,6 @@ def nearest_rows(x: np.ndarray, table: np.ndarray,
     rest, and rows or entries whose norms lie outside the ranges where that
     bound holds, go through ``_search64``, the float64 GEMM shortlist.
 
-    ``unit_table`` never builds the normalized table: the distances' columns
-    are scaled by -2/||t|| in one multiply and each unit row's squared norm,
-    the same for every entry, is dropped.  Only shortlisted codewords are
-    normalized, by ``normalize_rows`` as the broadcast would.
-
     A float32 ``table`` is the GEMM's operand as it is; a float64 one is
     narrowed to a float32 copy per call.  The re-rank widens only its
     candidate rows, and ``_search64`` the whole table for the rare rows that
@@ -186,13 +179,20 @@ def nearest_rows(x: np.ndarray, table: np.ndarray,
     """
     if not (isinstance(table, np.ndarray) and table.dtype == np.float32):
         table = np.asarray(table, dtype=np.float64)
-    return _nearest_rows(x, table, squared_norms(table), unit_table)
+    return _nearest_rows(x, table, squared_norms(table), unit_table=False)
 
 
 def _nearest_rows(x: np.ndarray, table: np.ndarray, tt: np.ndarray,
                   unit_table: bool) -> np.ndarray:
     """``nearest_rows`` for a float32 or float64 ``table`` whose squared row
-    norms are ``tt`` (see ``squared_norms``)."""
+    norms are ``tt`` (see ``squared_norms``), with ``normalize_rows(table)``
+    in place of ``table`` if ``unit_table``.
+
+    ``unit_table`` never builds the normalized table: the distances' columns
+    are scaled by -2/||t|| in one multiply and each unit row's squared norm,
+    the same for every entry, is dropped.  Only shortlisted codewords are
+    normalized, by ``normalize_rows`` as the broadcast would.
+    """
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
     K = table.shape[0]
@@ -524,18 +524,16 @@ def begin_epoch(book: Codebook) -> None:
     book.epoch_peak_size[:] = 0.0
 
 
-def end_epoch_reinit(book: Codebook, samples: np.ndarray | None = None,
-                     rng: np.random.Generator | None = None) -> int:
+def end_epoch_reinit(book: Codebook, rng: np.random.Generator) -> int:
     """Reinitialize entries whose EMA size stayed below
     ``DEAD_CODE_THRESHOLD`` all epoch.
 
-    Replacements default to the book's own reservoir of recent level inputs,
-    which keeps the reseeded codewords at the magnitude this level actually
-    sees.  Returns the number of entries reset.
+    Replacements are drawn by ``rng`` from the book's own reservoir of
+    recent level inputs, which keeps the reseeded codewords at the
+    magnitude this level actually sees.  Returns the number of entries
+    reset.
     """
-    rng = rng or np.random.default_rng(0)
-    if samples is None:
-        samples = book.reservoir
+    samples = book.reservoir
     dead = np.flatnonzero(book.epoch_peak_size < DEAD_CODE_THRESHOLD)
     if dead.size == 0 or len(samples) == 0:
         return 0
@@ -575,9 +573,8 @@ def weighted_index(rng: np.random.Generator, p: np.ndarray) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def kmeans_init(book: Codebook, samples: np.ndarray, iters: int = 10,
-                rng: np.random.Generator | None = None,
-                label: str = "") -> Codebook:
+def kmeans_init(book: Codebook, samples: np.ndarray, iters: int = 10, *,
+                rng: np.random.Generator, label: str = "") -> Codebook:
     """Seed the codebook by k-means++ plus Lloyd iterations.
 
     Cluster geometry lives in normalized space (matching the quantizer's
@@ -587,7 +584,6 @@ def kmeans_init(book: Codebook, samples: np.ndarray, iters: int = 10,
     ``label`` names the book in the warning.  Non-finite samples raise a
     NumericError.
     """
-    rng = rng or np.random.default_rng(0)
     where = f" ({label})" if label else ""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[1] != book.dim:
@@ -656,8 +652,8 @@ def kmeans_init(book: Codebook, samples: np.ndarray, iters: int = 10,
     return book
 
 
-def kmeans_init_stack(stack: RVQStack, p_code: np.ndarray, iters: int = 10,
-                      rng: np.random.Generator | None = None) -> None:
+def kmeans_init_stack(stack: RVQStack, p_code: np.ndarray, iters: int = 10, *,
+                      rng: np.random.Generator) -> None:
     """Initialize every level on the residual distribution it will see."""
     resid = np.asarray(p_code, dtype=np.float64).copy()
     for i, book in enumerate(stack.codebooks):

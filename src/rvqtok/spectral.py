@@ -58,15 +58,6 @@ def forward_spectrum(patch: np.ndarray) -> SpectralTarget:
     return SpectralTarget(np.log1p(amp), np.sin(phi), np.cos(phi), w)
 
 
-def chord_loss(phi1, phi2):
-    """Squared distance between unit-circle points at the two angles."""
-    phi1 = np.asarray(phi1, dtype=np.float64)
-    phi2 = np.asarray(phi2, dtype=np.float64)
-    ds = np.sin(phi1) - np.sin(phi2)
-    dc = np.cos(phi1) - np.cos(phi2)
-    return ds * ds + dc * dc
-
-
 def unit_circle_loss(pred: PhasePrediction, target: SpectralTarget,
                      lambda_circle: float = 0.4) -> Tensor:
     """Phase alignment on the unit circle plus an off-circle penalty.

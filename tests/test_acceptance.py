@@ -20,9 +20,10 @@ from rvqtok.pretrain import (BackboneModel, make_symmetric_masks, pretrain,
                              probe_corpus, run_linear_probe, teacher_tokens,
                              _view_loss)
 from rvqtok.rvq import Codebook, RVQStack, normalize_rows, quantize_level
-from rvqtok.spectral import chord_loss, forward_spectrum, inverse_spectrum
+from rvqtok.spectral import forward_spectrum, inverse_spectrum
 from rvqtok.tokenizer import (build_windows, eval_per_band, load_tokenizer,
                               save_tokenizer, train_tokenizer, TokenizerModel)
+from tests.helpers import chord_loss
 
 
 #: filled by _report; echoed in the terminal summary (see conftest.py)

@@ -13,6 +13,14 @@ from rvqtok.errors import ConfigError, ShapeError
 from rvqtok.optim import Parameter, adamw_step, clip_global_norm
 
 
+@pytest.mark.parametrize("data", [np.float32(1.5), np.arange(3, dtype=np.float32),
+                                  np.arange(4).reshape(2, 2), [1, 2], True])
+def test_tensor_holds_float64(data):
+    t = Tensor(data)
+    assert t.dtype == np.float64
+    np.testing.assert_array_equal(t.data, np.asarray(data, dtype=np.float64))
+
+
 def test_conv1d_identity_kernel():
     x = Tensor(np.random.default_rng(0).normal(size=(1, 1, 12)))
     w = Tensor(np.array([[[0.0, 1.0, 0.0]]]))
@@ -486,8 +494,9 @@ def test_adamw_zero_grad_no_decay_keeps_parameter():
 def test_adamw_single_step_matches_hand_formula():
     p = Parameter(np.array([0.5]), "p")
     p.tensor.grad = np.array([1.0])
-    adamw_step([p], lr=1e-3, betas=(0.9, 0.999), weight_decay=0.0, eps=1e-8)
-    # bias-corrected: m_hat = 1, v_hat = 1 -> update = lr * 1 / (1 + eps)
+    adamw_step([p], lr=1e-3, weight_decay=0.0)
+    # betas (0.9, 0.999), eps 1e-8; bias-corrected: m_hat = 1, v_hat = 1
+    # -> update = lr * 1 / (1 + eps)
     expect = 0.5 - 1e-3 * 1.0 / (1.0 + 1e-8)
     assert abs(p.data[0] - expect) < 1e-12
 

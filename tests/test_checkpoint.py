@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import struct
 import tracemalloc
 
@@ -9,14 +10,14 @@ import numpy as np
 import pytest
 
 from rvqtok.checkpoint import (FORMAT_VERSION, ZeroDraws, config_from_header,
-                               config_header, load_arrays, require_fields,
-                               save_arrays)
+                               config_header, require_fields, save_arrays)
 from rvqtok.config import load_config
 from rvqtok.errors import CompatibilityError, ParseError
 from rvqtok.pretrain import (BackboneModel, PretrainConfig, extract_features,
                              load_backbone, save_backbone)
 from rvqtok.tokenizer import (TokenizerConfig, TokenizerModel, build_windows,
                               load_tokenizer, save_tokenizer, train_tokenizer)
+from tests.helpers import load_arrays
 from tests.test_pretrain import tiny_pretrain_config
 from tests.test_tokenizer import tiny_config, tiny_corpus
 
@@ -419,3 +420,37 @@ def test_missing_header_field_rejected_naming_it(tmp_path, trained, kind, key,
     with pytest.raises(CompatibilityError,
                        match=f"checkpoint missing config field '{key}'"):
         LOADERS[kind](path)
+
+
+@pytest.mark.parametrize("kind, key, value, in_branch", [
+    ("tokenizer", "commitment_beta", "x", False),
+    ("tokenizer", "ema_decay", [1], False),
+    ("tokenizer", "layer_scale_init", "0.1", False),
+    ("tokenizer", "levels", True, False),
+    ("tokenizer", "codebook_size", 16.0, False),
+    ("tokenizer", "lambda_circle", float("nan"), False),
+    ("tokenizer", "kernels", [3], True),
+    ("tokenizer", "pools", [2, True], True),
+    ("backbone", "groups", "2", True),
+    ("backbone", "mask_ratio", float("inf"), False)])
+def test_header_value_of_the_wrong_type_rejected_naming_the_path(
+        tmp_path, trained, kind, key, value, in_branch):
+    path = tmp_path / "model.ckpt"
+    _save(kind, path, trained)
+    stored_kind, header, arrays = load_arrays(path)
+    (header["branches"][0] if in_branch else header)[key] = value
+    save_arrays(path, stored_kind, header, arrays)
+    with pytest.raises(ParseError,
+                       match=f"{re.escape(str(path))}: malformed config header .*{key}"):
+        LOADERS[kind](path)
+
+
+@pytest.mark.parametrize("kind", list(LOADERS))
+def test_integer_value_of_a_float_field_loads(tmp_path, trained, kind):
+    # JSON writes a float field holding a whole number as an integer
+    path = tmp_path / "model.ckpt"
+    _save(kind, path, trained)
+    stored_kind, header, arrays = load_arrays(path)
+    header["layer_scale_init"] = 1
+    save_arrays(path, stored_kind, header, arrays)
+    assert LOADERS[kind](path).cfg.encoder.layer_scale_init == 1

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rvqtok import cli
-from rvqtok.checkpoint import load_arrays, save_arrays
+from rvqtok.checkpoint import save_arrays
 from rvqtok.cli import SUBCOMMANDS, _build_parser, cmd
 from rvqtok.config import CONFIG_SCHEMA, MINIMUMS, PROFILES, load_config
 from rvqtok.errors import ConfigError
@@ -16,6 +16,7 @@ from rvqtok.signals import (Recording, SynthSpec, load_recording, save_recording
                             synth_generate)
 from rvqtok.spectral import forward_spectrum
 from rvqtok.tokenizer import TokenizerModel, save_tokenizer
+from tests.helpers import load_arrays
 from tests.test_pretrain import tiny_pretrain_config
 from tests.test_tokenizer import tiny_config
 
@@ -184,7 +185,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("kind, damage", [
         ("tokenizer", "levels"), ("tokenizer", "kernels"), ("tokenizer", "text"),
-        ("backbone", "levels"), ("backbone", "kernels"),
+        ("tokenizer", "commitment_beta"), ("backbone", "levels"), ("backbone", "kernels"),
         ("backbone", "slots_per_window"), ("backbone", "text")])
     def test_malformed_checkpoint_header_exit_1_without_outputs(self, tmp_path,
                                                                 capsys, kind, damage):
@@ -194,8 +195,8 @@ class TestCommands:
         else:
             save_backbone(BackboneModel(tiny_pretrain_config(), seed=0), path)
         stored_kind, snap, arrays = load_arrays(path)
-        if damage == "text":
-            snap["levels"] = "two"
+        if damage in ("text", "commitment_beta"):
+            snap["levels" if damage == "text" else damage] = "two"
             message = f"{path}: malformed config header"
         else:
             del (snap["branches"][0] if damage == "kernels" else snap)[damage]

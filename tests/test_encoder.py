@@ -185,20 +185,17 @@ def _per_branch_reference(enc, x, ch, sl):
 
 class TestBatchedBranches:
     @given(seed=st.integers(0, 2 ** 31 - 1), S=st.sampled_from([1, 4]),
-           dtype=st.sampled_from(["float32", "float64"]),
            project=st.booleans())
     @settings(max_examples=24, deadline=None)
-    def test_matches_per_branch_loop(self, seed, S, dtype, project):
+    def test_matches_per_branch_loop(self, seed, S, project):
         rng = np.random.default_rng(seed)
         enc = _encoder(w=16, D=8 if project else 16, S=S, depth=2, heads=2,
                        seed=seed % 1000, n_electrodes=3, max_slots=4,
                        branches=[BranchConfig(kernels=(3, 3), paddings=(1, 1),
                                               pools=(2, 4))] * S,
                        layer_scale_init=0.5)
-        for p in enc.params():
-            p.tensor.data = p.tensor.data.astype(dtype)
         B, P = int(rng.integers(1, 4)), int(rng.integers(1, 6))
-        x = rng.normal(size=(B, P, 16)).astype(dtype)
+        x = rng.normal(size=(B, P, 16))
         ch = rng.integers(0, 3, size=(B, P))
         sl = rng.integers(0, 4, size=(B, P))
         got = enc.forward(x, ch, sl)
@@ -206,10 +203,7 @@ class TestBatchedBranches:
         assert len(got) == S
         for g, r in zip(got, want):
             assert g.shape == r.shape == (B, P, enc.cfg.model_dim)
-            if dtype == "float32":
-                np.testing.assert_array_equal(g.data, r)
-            else:
-                np.testing.assert_allclose(g.data, r, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(g.data, r, rtol=1e-12, atol=0)
 
 
 class TestMultiScale:

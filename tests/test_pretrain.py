@@ -14,7 +14,7 @@ from rvqtok import autodiff as ad
 from rvqtok import pretrain as pt
 from rvqtok import tokenizer as tk
 from rvqtok.autodiff import Tape, Tensor, backward
-from rvqtok.checkpoint import config_header, load_arrays, save_arrays
+from rvqtok.checkpoint import config_header, save_arrays
 from rvqtok.config import load_config
 from rvqtok.encoder import EncoderConfig
 from rvqtok.errors import CompatibilityError, ConfigError
@@ -27,6 +27,7 @@ from rvqtok.pretrain import (BackboneModel, PretrainConfig, align_teacher,
 from rvqtok.rvq import normalize_rows
 from rvqtok.signals import SynthSpec, synth_generate
 from rvqtok.tokenizer import WindowSet, build_windows, train_tokenizer
+from tests.helpers import load_arrays
 from tests.test_autodiff import retained_backward
 from tests.test_tokenizer import tiny_config, tiny_corpus
 
@@ -573,14 +574,16 @@ class TestFeaturesAndProbe:
         assert a.shape == (wins.n_windows * 4, cfg.encoder.S * 16)
         assert np.array_equal(a, b)
 
-    def test_extract_features_concatenates_branches_in_order(self, trained_pair):
+    def test_extract_features_concatenates_branches_in_order(self, trained_pair,
+                                                            monkeypatch):
         recs, _ = trained_pair
         cfg = tiny_pretrain_config(S=3, seed=0)
         backbone = BackboneModel(cfg, seed=5)
         wins = build_windows(recs, 16, 2, val_fraction=0.0)
         reps = backbone.forward(wins.patches, wins.channel_idx, wins.slot_idx)
         expected = np.concatenate([r.data for r in reps], axis=-1)
-        got = extract_features(backbone, wins, batch_size=2)
+        monkeypatch.setattr(pt, "INFERENCE_BATCH", 2)  # several batches
+        got = extract_features(backbone, wins)
         D = cfg.encoder.model_dim
         assert got.shape == (wins.n_windows * 4, 3 * D)
         np.testing.assert_allclose(got, expected.reshape(-1, 3 * D),

@@ -516,7 +516,8 @@ def test_writes_widen_a_held_book_first(write):
     elif write == "reinit":
         book.epoch_peak_size[:] = 5.0
         book.epoch_peak_size[[2, 7]] = 0.0
-        end_epoch_reinit(book, rng.normal(size=(5, 4)), rng)
+        book.reservoir = rng.normal(size=(5, 4))
+        end_epoch_reinit(book, rng)
         touched = [2, 7]
     else:
         kmeans_init(book, rng.normal(size=(40, 4)), iters=2, rng=rng)
@@ -723,8 +724,8 @@ class TestEMA:
         ema_update(book, np.zeros(16, dtype=int), rng.normal(size=(16, 2)), decay=0.5)
         for _ in range(30):
             ema_update(book, np.full(4, 1, dtype=int), rng.normal(size=(4, 2)), decay=0.5)
-        samples = rng.normal(size=(10, 2))
-        n = end_epoch_reinit(book, samples, rng)
+        book.reservoir = rng.normal(size=(10, 2))
+        n = end_epoch_reinit(book, rng)
         # entries 0 and 1 were both alive at some point this epoch; 2 and 3 never
         assert n == 2
 
@@ -741,11 +742,13 @@ class TestEMA:
             for _ in range(3):
                 ema_update(book, step.integers(0, 4, size=6),
                            step.normal(size=(6, 3)), decay=0.9)
-            end_epoch_reinit(book, step.normal(size=(5, 3)), step)
+            book.reservoir = step.normal(size=(5, 3))
+            end_epoch_reinit(book, step)
         for field in ("entries", "ema_size", "ema_sum"):
             assert getattr(lazy, field).tobytes() == getattr(eager, field).tobytes()
         reinit_first = Codebook(entries.copy())
-        end_epoch_reinit(reinit_first, rng.normal(size=(5, 3)), rng)
+        reinit_first.reservoir = rng.normal(size=(5, 3))
+        end_epoch_reinit(reinit_first, rng)
         assert reinit_first.ema_sum is not None
 
     def test_decay_validation(self):

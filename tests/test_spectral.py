@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from rvqtok import autodiff as ad
 from rvqtok.autodiff import Tensor, grad_check
 from rvqtok.errors import ConfigError, ShapeError
-from rvqtok.spectral import (PhasePrediction, SpectralTarget, chord_loss,
-                             forward_spectrum, inverse_spectrum,
-                             tokenizer_loss, unit_circle_loss)
+from rvqtok.spectral import (PhasePrediction, SpectralTarget, forward_spectrum,
+                             inverse_spectrum, tokenizer_loss, unit_circle_loss)
+from tests.helpers import chord_loss
 
 
 def _pred_from_target(t: SpectralTarget) -> PhasePrediction:
