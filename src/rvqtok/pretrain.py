@@ -346,7 +346,7 @@ def probe_corpus(n_per_class: int, channels: int, sample_rate: float,
 
 
 def run_linear_probe(backbone: BackboneModel, recordings: list[Recording],
-                     labels: np.ndarray, slots_per_window: int = 2
+                     labels: np.ndarray, slots_per_window: int
                      ) -> dict[str, float]:
     """Ridge-regression probe on recording-averaged features.
 

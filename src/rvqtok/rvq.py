@@ -7,19 +7,25 @@ the residual update and the telescoping identity operate on the codeword
 actually selected, not its normalization.
 
 Every nearest-row search (the quantizer, its zero-query fallback and
-k-means' Lloyd assignments) goes through ``nearest_rows``.  It shortlists in
-float32 and decides in float64: one float32 GEMM per block of rows gives
+k-means' Lloyd assignments) goes through ``nearest_rows``, which runs one
+shortlist routine twice: in float32, then in float64 for the rows the first
+pass leaves.  For each block of rows a pass runs one GEMM, giving
 ||t||^2 - 2 x.t for every entry, and a row whose best value beats its second
-best by more than the float32 rounding bound takes that pick.  A row with a
-few entries within the bound of its best re-ranks them by the float64
-difference form ((x - t)^2).sum(-1); a row with more, or with norms outside
-float32's safe range, goes through the float64 GEMM shortlist, which keeps
-every entry within a float64 slack of the minimum and re-ranks the same way.
-Each slack exceeds the rounding error of its form, so the exact minimum is
-always shortlisted, and the re-rank computes the same float64 values a full
-(B, K, d) broadcast would: picks, exact ties and lowest-index tie-breaking
-included, are those of the broadcast, bit for bit, at O(B*K) memory per
-block.
+best by more than the pass's slack takes that pick.  The other rows take
+every entry within the slack of their best and re-rank them by the float64
+difference form ((x - t)^2).sum(-1).  The float32 pass's slack is its
+derived rounding bound (``_slack32``), and a row with more than
+``SHORTLIST_CAP`` candidates is left to the float64 pass, whose slack
+``SEARCH_SLACK`` scales with 1 + ||x||^2 + max ||t||^2 and which re-ranks
+every candidate.  Rows whose norms lie outside the ranges where the float32
+bound holds skip the float32 pass.  Entries outside them are kept out of
+both passes' GEMM values and are candidates of every row, except all-zero
+entries past the first: those tie for every query, so only the first can
+win.  Each slack exceeds the rounding error of its form, so the exact
+minimum is always shortlisted, and the re-rank computes the same float64
+values a full (B, K, d) broadcast would: picks, exact ties and lowest-index
+tie-breaking included, are those of the broadcast, bit for bit.  A block
+holds rows x K GEMM values and d values per candidate it re-ranks.
 
 k-means++ seeding keeps each row's distance to its nearest centre the same
 way: a GEMV per new centre shortlists the rows it may be nearer to, and
@@ -27,13 +33,14 @@ only those take the difference form, so the distances, picks and seeded
 codebooks are those of a full difference-form pass per centre, bit for bit.
 
 The quantizer searches the raw book: the GEMM's columns are scaled by
-1/||v||, and only shortlisted codewords are normalized (by
-``normalize_rows``, as the broadcast would) for the re-rank, so a search
-holds no normalized copy of the book.  A float64 book is narrowed to a
-float32 copy per call; a book loaded from a checkpoint is held as the
-stored float32 array, which the GEMM reads as it is, with its squared norms
-computed once at load and used while the array stays read-only.  The
-re-rank widens only its candidate rows, and widening a float32 value is
+-2/||v|| and each unit row's squared norm, the same for every entry, is
+dropped.  Only shortlisted codewords are normalized (by ``normalize_rows``,
+as the broadcast would) for the re-rank, so a search holds no normalized
+copy of the book.  A float64 book is narrowed to a float32 copy per call; a
+book loaded from a checkpoint is held as the stored float32 array, which
+the float32 GEMM reads as it is, with its squared norms computed once at
+load and used while the array stays read-only.  The float64 pass widens the
+table and the re-rank only its candidate rows; widening a float32 value is
 exact, so every float64 value a search computes is the one it computes for
 the same values held in float64.
 
@@ -64,7 +71,7 @@ RESERVOIR_CAP = 512
 #: Largest (rows x K) distance block ``nearest_rows`` holds at once (16 MB).
 SEARCH_BLOCK = 1 << 21
 #: Most entries a row may take from the float32 shortlist to the float64
-#: re-rank; a row with more goes through the float64 GEMM shortlist.
+#: re-rank; a row with more goes through the float64 pass.
 SHORTLIST_CAP = 64
 #: Float64 shortlist slack, relative to 1 + ||x||^2 + max ||t||^2.  Both
 #: distance forms round within ~(d + 3) float64 epsilons of that scale.
@@ -161,21 +168,10 @@ def nearest_rows(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Index of the nearest ``table`` row to each row of ``x`` (B, d).
 
     Squared Euclidean distance, ties to the lowest index; the picks equal
-    ``argmin(((x[:, None] - table[None]) ** 2).sum(-1), axis=1)`` exactly.
-
-    Each block of rows runs one float32 GEMM against the table in float32.
-    A row whose best float32 distance beats its second best by more
-    than the float32 rounding bound (see ``_slack32``) takes that pick; a row
-    with at most ``SHORTLIST_CAP`` entries within the bound of its best
-    re-ranks them by the float64 difference form ((x - t)^2).sum(-1); the
-    rest, and rows or entries whose norms lie outside the ranges where that
-    bound holds, go through ``_search64``, the float64 GEMM shortlist.
-
-    A float32 ``table`` is the GEMM's operand as it is; a float64 one is
-    narrowed to a float32 copy per call.  The re-rank widens only its
-    candidate rows, and ``_search64`` the whole table for the rare rows that
-    reach it.  Widening is exact, so a float32 table's picks are those of
-    the same values held in float64.  Any other table is taken as float64.
+    ``argmin(((x[:, None] - table[None]) ** 2).sum(-1), axis=1)`` exactly,
+    by the search the module docstring describes.  A float32 ``table`` is
+    searched as it is, with the picks of the same values held in float64;
+    any other table is taken as float64.
     """
     if not (isinstance(table, np.ndarray) and table.dtype == np.float32):
         table = np.asarray(table, dtype=np.float64)
@@ -186,87 +182,102 @@ def _nearest_rows(x: np.ndarray, table: np.ndarray, tt: np.ndarray,
                   unit_table: bool) -> np.ndarray:
     """``nearest_rows`` for a float32 or float64 ``table`` whose squared row
     norms are ``tt`` (see ``squared_norms``), with ``normalize_rows(table)``
-    in place of ``table`` if ``unit_table``.
-
-    ``unit_table`` never builds the normalized table: the distances' columns
-    are scaled by -2/||t|| in one multiply and each unit row's squared norm,
-    the same for every entry, is dropped.  Only shortlisted codewords are
-    normalized, by ``normalize_rows`` as the broadcast would.
-    """
+    in place of ``table`` if ``unit_table``: ``_shortlist`` in float32, then
+    in float64 for the rows it leaves."""
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
     K = table.shape[0]
     xx = np.einsum("ij,ij->i", x, x)
-    # Entries outside the ranges where _slack32's bound holds are always
-    # candidates; rows outside them take the float64 path, as does every row
-    # past SHORTLIST_CAP such entries or past d = 4096, where the bound's
+    # Entries outside the ranges where _slack32's bound holds are out of the
+    # GEMM values; rows outside them skip the float32 pass, as does every row
+    # past SHORTLIST_CAP forced entries or past d = 4096, where the bound's
     # second-order terms would outgrow its margin.
     if unit_table:
         safe = (tt > 2.0 ** -200) & (tt < 2.0 ** 200)
         colscale = -2.0 / np.sqrt(np.where(safe, tt, 1.0))
+        shift = None
         top = float(safe.any())
         fast = xx <= 4.0
     else:
         safe = tt < 2.0 ** 100
         colscale = np.full(K, -2.0)
-        top = tt.max(initial=0.0, where=safe)
+        shift = np.where(safe, tt, 0.0)
+        top = shift.max(initial=0.0)
         fast = (xx < 2.0 ** 100) & (xx + top > 2.0 ** -100)
-    forced = np.flatnonzero(~safe)
-    if forced.size > SHORTLIST_CAP or d > 4096:
+    out = np.flatnonzero(~safe)
+    # every out entry is a candidate of every row, save the all-zero ones
+    # past the first: they tie for every query, so only the first can win
+    forced = table[out].any(axis=1)
+    forced[np.flatnonzero(~forced)[:1]] = True
+    if np.count_nonzero(forced) > SHORTLIST_CAP or d > 4096:
         fast[:] = False
-    slack = _slack32(d, xx, top)
-    # a float32 table is the GEMM's operand as it is, copied only to zero
-    # forced entries
-    with np.errstate(over="ignore"):  # entries that overflow are forced
-        t32 = table.astype(np.float32, copy=bool(forced.size))
-    if forced.size:
-        t32[forced] = 0.0
-    c32 = colscale.astype(np.float32)
-    tt32 = None if unit_table else np.where(safe, tt, 0.0).astype(np.float32)
 
     idx = np.empty(n, dtype=np.int64)
-    slow = [np.flatnonzero(~fast)]
-    live = np.flatnonzero(fast)
-    rows = max(1, SEARCH_BLOCK // max(K, 4 * SHORTLIST_CAP * d))
-    for lo in range(0, live.size, rows):
-        sub = live[lo:lo + rows]
-        idx[sub], hard = _search32(x[sub], table, unit_table, t32, c32, tt32,
-                                   forced, slack[sub])
-        slow.append(sub[hard])
-    slow = np.concatenate(slow)
-    if slow.size:
-        idx[slow] = _search64(x[slow], table, tt, unit_table)
+    hard = _shortlist(x, np.flatnonzero(fast), idx, table, unit_table,
+                      np.float32, colscale, shift, out, forced,
+                      _slack32(d, xx, top), SHORTLIST_CAP)
+    slow = np.concatenate([np.flatnonzero(~fast), hard])
+    _shortlist(x, slow, idx, table, unit_table, np.float64, colscale, shift,
+               out, forced, SEARCH_SLACK * (1.0 + xx + top), K)
     return idx
 
 
-def _search32(x, table, unit_table, t32, c32, tt32, forced, slack):
-    """One block of ``nearest_rows``' float32 tier: the picks, and the rows
-    (positions in ``x``) with more than ``SHORTLIST_CAP`` candidates, whose
-    picks the float64 GEMM shortlist must make."""
-    e = x.astype(np.float32) @ t32.T
-    e *= c32
-    if tt32 is not None:
-        e += tt32
-    e[:, forced] = np.inf
-    r = np.arange(x.shape[0])
-    best = np.argmin(e, axis=1)
-    low = e[r, best]
-    if forced.size:
-        unsure = r
-    else:  # second best against best, with the best masked out
-        e[r, best] = np.inf
-        gap = e.min(axis=1) - low.astype(np.float64)
-        e[r, best] = low
-        unsure = np.flatnonzero(~(gap > slack))
-        if unsure.size == 0:
-            return best, unsure
-    near = e[unsure] <= (low[unsure] + slack[unsure])[:, None]
-    del e
-    near[:, forced] = True
-    few = np.count_nonzero(near, axis=1) <= SHORTLIST_CAP
-    rr, cc = np.nonzero(near[few])  # row-major: each row's columns ascend
-    best[unsure[few]] = _rerank(x[unsure[few]], table, rr, cc, unit_table)
-    return best, unsure[~few]
+def _shortlist(x, rows, idx, table, unit_table, dtype, colscale, shift, out,
+               forced, slack, cap):
+    """One pass of ``_nearest_rows`` at the precision ``dtype``: write into
+    ``idx`` the picks of the ``rows`` of ``x`` with at most ``cap``
+    candidates, and return the others.
+
+    Each block of rows runs one GEMM against the table in ``dtype``, its
+    columns scaled by ``colscale`` and shifted by ``shift`` (None for none).
+    A row whose best value beats its second best by more than its ``slack``
+    takes that pick; the others take as candidates every entry within the
+    slack of their best, and the ``out`` entries marked ``forced`` (the
+    ``out`` entries' GEMM values are not used), and re-rank them.
+    """
+    if rows.size == 0:
+        return rows
+    # a float32 table is the float32 GEMM's operand as it is, copied only to
+    # zero out entries
+    with np.errstate(over="ignore"):  # entries that overflow are out
+        t = table.astype(dtype, copy=bool(out.size))
+    if out.size:
+        t[out] = 0.0
+    colscale = colscale.astype(dtype)
+    if shift is not None:
+        shift = shift.astype(dtype)
+    K, d = t.shape
+    step = max(1, SEARCH_BLOCK // max(K, 4 * SHORTLIST_CAP * d))
+    hard = [rows[:0]]
+    for lo in range(0, rows.size, step):
+        sub = rows[lo:lo + step]
+        e = x[sub].astype(dtype, copy=False) @ t.T
+        e *= colscale
+        if shift is not None:
+            e += shift
+        e[:, out] = np.inf
+        r = np.arange(sub.size)
+        best = np.argmin(e, axis=1)
+        low = e[r, best]
+        idx[sub] = best
+        if out.size:
+            unsure = r
+        else:  # second best against best, with the best masked out
+            e[r, best] = np.inf
+            gap = e.min(axis=1) - low.astype(np.float64)
+            e[r, best] = low
+            unsure = np.flatnonzero(~(gap > slack[sub]))
+            if unsure.size == 0:
+                continue
+        near = e[unsure] <= (low[unsure] + slack[sub[unsure]])[:, None]
+        del e
+        near[:, out] = forced
+        few = np.count_nonzero(near, axis=1) <= cap
+        rr, cc = np.nonzero(near[few])  # row-major: each row's columns ascend
+        picked = sub[unsure[few]]
+        idx[picked] = _rerank(x[picked], table, rr, cc, unit_table)
+        hard.append(sub[unsure[~few]])
+    return np.concatenate(hard)
 
 
 def _slack32(d: int, xx: np.ndarray, top: float) -> np.ndarray:
@@ -284,7 +295,7 @@ def _slack32(d: int, xx: np.ndarray, top: float) -> np.ndarray:
     entry is off by at most (d + 2 + 3) u (xx + top), and a gap between two
     entries by twice that.  One more EPS32 covers the float64 rounding of
     the difference form, second-order terms, and underflow inside the safe
-    ranges ``nearest_rows`` checks.
+    ranges ``_nearest_rows`` checks.
     """
     return EPS32 * (d + 2 + 3 + 1) * (xx + top)
 
@@ -307,51 +318,6 @@ def _rerank(x: np.ndarray, table: np.ndarray, r: np.ndarray, c: np.ndarray,
     return c[order[first]]
 
 
-def _search64(x: np.ndarray, table: np.ndarray, tt: np.ndarray,
-              unit_table: bool) -> np.ndarray:
-    """``nearest_rows`` by a float64 GEMM shortlist, for a table whose
-    squared row norms are ``tt``.
-
-    Rows are searched ``SEARCH_BLOCK // K`` at a time: one GEMM computes
-    ||x||^2 + ||t||^2 - 2 x.t, keeps every entry within ``SEARCH_SLACK`` of
-    each row's minimum, and rows with more than one candidate re-rank them.
-    For a unit table the GEMM's columns are scaled by 1/||t|| and each unit
-    row's squared norm is taken as 1, both within a few epsilons where
-    ||t||^2 is a well-scaled normal number; rows outside that range (zero,
-    or a squared norm that underflows or overflows) are always candidates.
-    A float32 table is widened for the GEMM.
-    """
-    table = np.asarray(table, dtype=np.float64)
-    odd = np.zeros(tt.shape, dtype=bool)
-    if unit_table:
-        odd = ~((tt > 1e-280) & (tt < 1e280))
-        scale = 1.0 / np.sqrt(np.where(odd, 1.0, tt))
-        tt = (~odd).astype(np.float64)
-    xx = np.einsum("ij,ij->i", x, x)
-    slack = SEARCH_SLACK * (1.0 + xx + tt.max())
-    idx = np.empty(x.shape[0], dtype=np.int64)
-    rows = max(1, SEARCH_BLOCK // table.shape[0])
-    for lo in range(0, x.shape[0], rows):
-        hi = min(lo + rows, x.shape[0])
-        d = x[lo:hi] @ table.T
-        if unit_table:
-            d *= scale
-        d *= -2.0
-        d += xx[lo:hi, None]
-        d += tt
-        d[:, odd] = np.inf
-        best = np.argmin(d, axis=1)
-        idx[lo:hi] = best
-        near = d <= (d[np.arange(hi - lo), best] + slack[lo:hi])[:, None]
-        near[:, odd] = True
-        tied = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
-        if tied.size == 0:
-            continue
-        r, c = np.nonzero(near[tied])  # row-major: each row's columns ascend
-        idx[lo + tied] = _rerank(x[lo + tied], table, r, c, unit_table)
-    return idx
-
-
 def quantize_level(p: np.ndarray, book: Codebook) -> tuple[np.ndarray, np.ndarray]:
     """Nearest codeword per row of p; returns (indices, raw codewords).
 
@@ -359,12 +325,10 @@ def quantize_level(p: np.ndarray, book: Codebook) -> tuple[np.ndarray, np.ndarra
     zero fall back to raw Euclidean distance.  Ties break toward the lowest
     index.  Accepts a single vector or a (B, d) batch.
 
-    Both searches run through ``nearest_rows`` on the raw book: a float32
-    GEMM settles the rows whose best entry wins by more than float32
-    rounding, and the rest re-rank their near ties by the float64
-    difference form, so the picks are those of the (B, K, d) broadcast
-    ||q^ - v^||^2, including duplicate, collinear and all-zero codewords.
-    They use the book's held squared norms while its table is read-only.
+    Both comparisons run the module's nearest-row search on the raw book,
+    so the picks are those of the (B, K, d) broadcast ||q^ - v^||^2,
+    including duplicate, collinear and all-zero codewords.  They use the
+    book's held squared norms while its table is read-only.
     The codewords are float64 whatever the book's dtype.
     """
     p = np.asarray(p, dtype=np.float64)
@@ -470,7 +434,7 @@ class RVQStack:
         return TokenAssignment(indices, codewords, level_inputs, resid)
 
 
-def quantization_loss(p_code, codewords: np.ndarray, beta: float = 0.25) -> Tensor:
+def quantization_loss(p_code, codewords: np.ndarray, beta: float) -> Tensor:
     """Commitment loss: beta * mean over levels, rows and dims of (r_i - z_i)^2.
 
     Level i quantizes the residual r_i = p - (z_1 + ... + z_{i-1}), so
@@ -489,7 +453,7 @@ def quantization_loss(p_code, codewords: np.ndarray, beta: float = 0.25) -> Tens
 
 
 def ema_update(book: Codebook, indices: np.ndarray, inputs: np.ndarray,
-               decay: float = 0.99) -> None:
+               decay: float) -> None:
     """EMA codebook update from one batch of (index, residual input) pairs.
 
     Entries assigned in this batch move toward their smoothed cluster means;

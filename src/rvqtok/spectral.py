@@ -59,7 +59,7 @@ def forward_spectrum(patch: np.ndarray) -> SpectralTarget:
 
 
 def unit_circle_loss(pred: PhasePrediction, target: SpectralTarget,
-                     lambda_circle: float = 0.4) -> Tensor:
+                     lambda_circle: float) -> Tensor:
     """Phase alignment on the unit circle plus an off-circle penalty.
 
     Mean over bins of ``1 - <(cos_hat, sin_hat), (cos, sin)> / max(|v|, eps)``
@@ -120,7 +120,7 @@ def inverse_spectrum(target: SpectralTarget | PhasePrediction,
 
 
 def tokenizer_loss(pred: PhasePrediction, target: SpectralTarget, x: np.ndarray,
-                   lambda_circle: float = 0.4) -> tuple[Tensor, dict[str, float]]:
+                   lambda_circle: float) -> tuple[Tensor, dict[str, float]]:
     """Composite reconstruction objective (quantization loss added by the caller).
 
     Returns the scalar total and a per-term breakdown for logging:

@@ -24,7 +24,7 @@ from .errors import ConfigError, NumericError
 from .optim import Parameter, adamw_step, clip_global_norm, cosine_warmup_lr
 from .rvq import (RVQStack, TokenAssignment, begin_epoch, end_epoch_reinit,
                   ema_update, kmeans_init_stack, quantization_loss)
-from .signals import Recording, bandpass, STANDARD_BANDS
+from .signals import Recording, bandpass
 from .spectral import (PhasePrediction, forward_spectrum, inverse_spectrum,
                        tokenizer_loss)
 
@@ -348,10 +348,10 @@ def seed_codebooks(model: TokenizerModel, train_set: WindowSet,
 
 
 def train_tokenizer(dataset: list[Recording], cfg: TokenizerConfig,
-                    epochs: int, slots_per_window: int = 2, batch_size: int = 8,
-                    base_lr: float = 1e-3, min_lr: float = 1e-5,
-                    weight_decay: float = 1e-4, warmup_epochs: int = 1,
-                    seed: int = 0) -> tuple[TokenizerModel, list[dict]]:
+                    epochs: int, *, slots_per_window: int, batch_size: int,
+                    base_lr: float, min_lr: float, weight_decay: float,
+                    warmup_epochs: int,
+                    seed: int) -> tuple[TokenizerModel, list[dict]]:
     """Epoch loop with seeded shuffling and per-epoch validation curves.
 
     Returns the trained model and curve rows (one dict per epoch and split).
@@ -409,8 +409,7 @@ def train_tokenizer(dataset: list[Recording], cfg: TokenizerConfig,
 
 
 def eval_per_band(model: TokenizerModel, recordings: list[Recording],
-                  bands=STANDARD_BANDS, split: str = "validation",
-                  slots_per_window: int = 2) -> BandReport:
+                  bands, split: str, slots_per_window: int) -> BandReport:
     """Reconstruct and report raw plus per-band MSE.
 
     Band MSE is measured on the central half of each patch (filter edge

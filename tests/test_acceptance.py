@@ -20,6 +20,7 @@ from rvqtok.pretrain import (BackboneModel, make_symmetric_masks, pretrain,
                              probe_corpus, run_linear_probe, teacher_tokens,
                              _view_loss)
 from rvqtok.rvq import Codebook, RVQStack, normalize_rows, quantize_level
+from rvqtok.signals import STANDARD_BANDS
 from rvqtok.spectral import forward_spectrum, inverse_spectrum
 from rvqtok.tokenizer import (build_windows, eval_per_band, load_tokenizer,
                               save_tokenizer, train_tokenizer, TokenizerModel)
@@ -208,8 +209,10 @@ def test_criterion_5_desk_tokenizer_training(desk_training, desk_corpus):
     first, last = vals[0]["total"], vals[-1]["total"]
     halving = last / first
     trained_rep = eval_per_band(desk_training["model"], desk_corpus,
+                                STANDARD_BANDS, split="validation",
                                 slots_per_window=desk_training["slots"])
     untrained_rep = eval_per_band(desk_training["untrained"], desk_corpus,
+                                  STANDARD_BANDS, split="validation",
                                   slots_per_window=desk_training["slots"])
     ratio = trained_rep.mse["raw"] / untrained_rep.mse["raw"]
     seconds = desk_training["seconds"]

@@ -19,7 +19,7 @@ from rvqtok.tokenizer import (TokenizerConfig, TokenizerModel, build_windows,
                               load_tokenizer, save_tokenizer, train_tokenizer)
 from tests.helpers import load_arrays
 from tests.test_pretrain import tiny_pretrain_config
-from tests.test_tokenizer import tiny_config, tiny_corpus
+from tests.test_tokenizer import schedule, tiny_config, tiny_corpus
 
 
 def test_round_trip_preserves_f32_values(tmp_path):
@@ -112,7 +112,8 @@ def test_directory_rejected_naming_the_path(tmp_path):
 def trained():
     """A tokenizer trained for one epoch, and its corpus."""
     recs = tiny_corpus(seconds=4.0)
-    model, _ = train_tokenizer(recs, tiny_config(), epochs=1, batch_size=2)
+    model, _ = train_tokenizer(recs, tiny_config(), epochs=1,
+                               **schedule(batch_size=2))
     return recs, model
 
 

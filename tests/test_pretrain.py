@@ -29,7 +29,7 @@ from rvqtok.signals import SynthSpec, synth_generate
 from rvqtok.tokenizer import WindowSet, build_windows, train_tokenizer
 from tests.helpers import load_arrays
 from tests.test_autodiff import retained_backward
-from tests.test_tokenizer import tiny_config, tiny_corpus
+from tests.test_tokenizer import schedule, tiny_config, tiny_corpus
 
 
 def tiny_pretrain_config(w=16, S=2, levels=2, K=16, depth=1, **kw):
@@ -160,7 +160,7 @@ class TestMaskPlans:
 def trained_pair():
     recs = tiny_corpus(n=3, channels=2, seconds=6.0, seed=40)
     tok_model, _ = train_tokenizer(recs, tiny_config(), epochs=1,
-                                   slots_per_window=2, batch_size=2, seed=0)
+                                   **schedule(batch_size=2))
     return recs, tok_model
 
 

@@ -19,6 +19,7 @@ from rvqtok.rvq import (Codebook, RVQStack, begin_epoch, end_epoch_reinit,
                         ema_update, kmeans_init, kmeans_init_stack,
                         nearest_rows, normalize_rows, quantization_loss,
                         quantize_level, update_centers, weighted_index)
+from tests.test_tokenizer import schedule
 
 
 def _stack(model_dim=6, code_dim=4, levels=2, entries=8, seed=0, identity=False):
@@ -93,6 +94,20 @@ def _broadcast_quantize(q, entries):
     return np.argmin(d, axis=1)
 
 
+def _at_each_cap(search, block=None):
+    """``search()``'s results at the default ``SHORTLIST_CAP`` and at 0, where
+    every row the float32 pass leaves unsure goes through the float64 pass;
+    ``block``, if given, is the ``SEARCH_BLOCK`` of both."""
+    results = []
+    for cap in (rvq.SHORTLIST_CAP, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rvq, "SHORTLIST_CAP", cap)
+            if block is not None:
+                mp.setattr(rvq, "SEARCH_BLOCK", block)
+            results.append(search())
+    return results
+
+
 @st.composite
 def _search_cases(draw):
     """A table with duplicate, collinear and all-zero rows; queries that are
@@ -129,22 +144,19 @@ class TestNearestRows:
     @settings(max_examples=300, deadline=None)
     def test_matches_broadcast_oracle(self, case):
         x, table, block = case
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rvq, "SEARCH_BLOCK", block)
-            got = nearest_rows(x, table)
-        np.testing.assert_array_equal(got, _broadcast_nearest(x, table))
+        want = _broadcast_nearest(x, table)
+        for got in _at_each_cap(lambda: nearest_rows(x, table), block):
+            np.testing.assert_array_equal(got, want)
 
     @given(_search_cases())
     @settings(max_examples=300, deadline=None)
     def test_quantize_level_matches_broadcast_oracle(self, case):
         q, table, block = case
         book = Codebook(table)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rvq, "SEARCH_BLOCK", block)
-            idx, z = quantize_level(q, book)
         want = _broadcast_quantize(q, table)
-        np.testing.assert_array_equal(idx, want)
-        np.testing.assert_array_equal(z, table[want])
+        for idx, z in _at_each_cap(lambda: quantize_level(q, book), block):
+            np.testing.assert_array_equal(idx, want)
+            np.testing.assert_array_equal(z, table[want])
 
     def test_batch_crosses_default_block(self):
         rng = np.random.default_rng(11)
@@ -166,11 +178,11 @@ class TestNearestRows:
         q = q * np.array(data.draw(st.lists(
             scales, min_size=len(q), max_size=len(q))))[:, None]
         book = Codebook(table)
-        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
-            mp.setattr(rvq, "SEARCH_BLOCK", block)
-            idx, _ = quantize_level(q, book)
+        with np.errstate(over="ignore"):
+            got = _at_each_cap(lambda: quantize_level(q, book), block)
             want = _broadcast_quantize(q, table)
-        np.testing.assert_array_equal(idx, want)
+        for idx, _ in got:
+            np.testing.assert_array_equal(idx, want)
 
     def test_window_search_holds_no_copy_of_the_book(self):
         # one paper-profile window: 64 queries against a K=8192, d_c=128 book
@@ -184,6 +196,33 @@ class TestNearestRows:
         finally:
             tracemalloc.stop()
         assert peak < book.entries.nbytes
+
+    def test_all_zero_codewords_memory_bounded(self):
+        # dead-code reinit can reseed a level with the zero residuals of
+        # inputs the level above reproduced exactly.  All-zero codewords tie
+        # for every query, so only the first can win; when each was a
+        # candidate of every row, a window against 4096 of them peaked at
+        # 529 MiB.  Queries that are nonzero codewords pick those, the rest
+        # the first zero.
+        rng = np.random.default_rng(14)
+        table = rng.normal(size=(8192, 128))
+        zero = rng.choice(8192, 4096, replace=False)
+        table[zero] = 0.0
+        live = np.setdiff1d(np.arange(8192), zero)
+        q = rng.normal(size=(64, 128))
+        q[:16] = 3.0 * table[live[:16]]
+        book = Codebook(table)
+        tracemalloc.start()
+        try:
+            idx, _ = quantize_level(q, book)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = np.concatenate([_broadcast_quantize(q[i:i + 1], table)
+                               for i in range(len(q))])
+        assert set(want[16:]) == {zero.min()}
+        np.testing.assert_array_equal(idx, want)
+        assert peak < 16 * 2 ** 20
 
     def test_paper_batch_memory_bounded(self):
         # 32 windows x 64 patches against a K=8192, d_c=128 book: a (B, K, d)
@@ -270,18 +309,21 @@ class TestFloat32Tier:
     @settings(max_examples=200, deadline=None)
     def test_nearest_rows_matches_broadcast_oracle(self, case):
         x, table = case
-        np.testing.assert_array_equal(nearest_rows(x, table),
-                                      _broadcast_nearest(x, table))
+        want = _broadcast_nearest(x, table)
+        for got in _at_each_cap(lambda: nearest_rows(x, table)):
+            np.testing.assert_array_equal(got, want)
 
     @given(_float32_cases())
     @settings(max_examples=200, deadline=None)
     def test_quantize_level_matches_broadcast_oracle(self, case):
         q, table = case
+        book = Codebook(table)
         with np.errstate(over="ignore", invalid="ignore"):
             want = _broadcast_quantize(q, table)
-            idx, z = quantize_level(q, Codebook(table))
-        np.testing.assert_array_equal(idx, want)
-        np.testing.assert_array_equal(z, table[want])
+            got = _at_each_cap(lambda: quantize_level(q, book))
+        for idx, z in got:
+            np.testing.assert_array_equal(idx, want)
+            np.testing.assert_array_equal(z, table[want])
 
     @pytest.mark.parametrize("unit", [False, True])
     @pytest.mark.parametrize("d", [32, 128])
@@ -289,18 +331,20 @@ class TestFloat32Tier:
         x, table = _accumulation_ties(d, unit)
         if unit:
             want = _broadcast_quantize(x, table)
-            got = quantize_level(x, Codebook(table))[0]
+            got = _at_each_cap(lambda: quantize_level(x, Codebook(table))[0])
         else:
-            want, got = _broadcast_nearest(x, table), nearest_rows(x, table)
+            want = _broadcast_nearest(x, table)
+            got = _at_each_cap(lambda: nearest_rows(x, table))
         assert (want == 0).all()
-        np.testing.assert_array_equal(got, want)
+        for idx in got:
+            np.testing.assert_array_equal(idx, want)
 
     @pytest.mark.parametrize("kind", ["zero", "nonzero"])
     def test_degenerate_kmeans_memory_bounded(self, kind):
         # a deep level's k-means input at desk shape: ~1000 copies of one
         # sample, padded by 255 rows of 1e-4 jitter around it.  Every
         # normalized row then lies within float32 rounding of every centre,
-        # so the float32 tier must hand the rows to the float64 shortlist
+        # so the float32 pass must hand the rows to the float64 pass
         # instead of re-ranking all 256 candidates of each.  Before the
         # float32 tier the peak was 3.65 MB (zero sample) and 4.62 MB
         # (nonzero); the bound allows 2 MB on top of the larger.
@@ -344,8 +388,8 @@ def desk_books():
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         mp.setattr(tk, "train_step", step)
         warnings.simplefilter("ignore")
-        model, _ = tk.train_tokenizer(recs, cfg, epochs=1, slots_per_window=2,
-                                      batch_size=4)
+        model, _ = tk.train_tokenizer(recs, cfg, epochs=1,
+                                      **schedule(batch_size=4))
     return recs, seeded, model
 
 
@@ -379,18 +423,18 @@ def test_loaded_desk_books_match_the_same_values_in_float64(desk_books,
     # own entries picks as they do, level by level.  One seeded level is
     # padded from a single nonzero input, as k-means pads a level whose
     # inputs repeat: its 256 entries lie within float32 rounding of each
-    # other, so its rows reach the float64 GEMM shortlist with the float32
-    # table.
+    # other, so its rows reach the float64 pass with the float32 table.
     from rvqtok import tokenizer as tk
 
     recs, seeded, model = desk_books
     val = tk.build_windows(recs, model.cfg.encoder.w, 2).val
-    searched = []
-    real_search64 = rvq._search64
+    searched = []  # the table dtypes that reach the float64 pass
+    real_shortlist = rvq._shortlist
 
-    def search64(x, table, *args):
-        searched.append(table.dtype)
-        return real_search64(x, table, *args)
+    def shortlist(x, rows, idx, table, unit_table, dtype, *args):
+        if dtype is np.float64 and rows.size:
+            searched.append(table.dtype)
+        return real_shortlist(x, rows, idx, table, unit_table, dtype, *args)
 
     seeded_model = copy.copy(model)
     seeded_model.stacks = copy.deepcopy(seeded)
@@ -409,11 +453,11 @@ def test_loaded_desk_books_match_the_same_values_in_float64(desk_books,
                              for b in stack.codebooks],
                             stack.down_proj, stack.up_proj)
             p = rep.data.reshape(-1, rep.shape[-1]) @ stack.down_proj.data
-            monkeypatch.setattr(rvq, "_search64", search64)
+            monkeypatch.setattr(rvq, "_shortlist", shortlist)
             got = stack.quantize_codes(p)
             own = [quantize_level(w.entries, b)
                    for w, b in zip(wide.codebooks, stack.codebooks)]
-            monkeypatch.setattr(rvq, "_search64", real_search64)
+            monkeypatch.setattr(rvq, "_shortlist", real_shortlist)
             want = wide.quantize_codes(p)
             for name in ("indices", "codewords", "level_inputs", "residual"):
                 a, b = getattr(got, name), getattr(want, name)
@@ -511,7 +555,7 @@ def test_writes_widen_a_held_book_first(write):
         book.entries[0] = 0.0
     stored = book.entries
     if write == "ema":
-        ema_update(book, np.array([3, 3, 9]), rng.normal(size=(3, 4)))
+        ema_update(book, np.array([3, 3, 9]), rng.normal(size=(3, 4)), 0.99)
         touched = [3, 9]
     elif write == "reinit":
         book.epoch_peak_size[:] = 5.0
@@ -670,7 +714,7 @@ class TestQuantizationLoss:
 
     def test_misaligned_codewords_rejected(self):
         with pytest.raises(ShapeError):
-            quantization_loss(np.zeros((2, 3)), np.zeros((2, 3)))
+            quantization_loss(np.zeros((2, 3)), np.zeros((2, 3)), 0.25)
 
     @given(seed=st.integers(0, 2 ** 31 - 1), N=st.integers(1, 4),
            B=st.integers(1, 6), d=st.integers(1, 5))

@@ -176,7 +176,7 @@ class TestTokenizerLoss:
         rng = np.random.default_rng(11)
         x = rng.normal(size=64)
         tgt = forward_spectrum(x)
-        total, parts = tokenizer_loss(_pred_from_target(tgt), tgt, x)
+        total, parts = tokenizer_loss(_pred_from_target(tgt), tgt, x, 0.4)
         assert abs(total.item()) < 1e-12
         assert abs(parts["total"] - (parts["log_amp"] + parts["unit"] + parts["temporal"])) < 1e-9
 
@@ -194,14 +194,14 @@ class TestTokenizerLoss:
         nb = 33
         # cos=1 keeps the phase vector on the circle; zero patch has phase 0
         pred = PhasePrediction(np.zeros(nb), np.zeros(nb), np.ones(nb))
-        total, _ = tokenizer_loss(pred, tgt, x)
+        total, _ = tokenizer_loss(pred, tgt, x, 0.4)
         assert abs(total.item()) < 1e-12
 
     def test_batched_patches(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(5, 64))
         tgt = forward_spectrum(x)
-        total, parts = tokenizer_loss(_pred_from_target(tgt), tgt, x)
+        total, parts = tokenizer_loss(_pred_from_target(tgt), tgt, x, 0.4)
         assert abs(total.item()) < 1e-12
 
     def test_gradients_through_all_terms(self):
@@ -223,7 +223,7 @@ class TestTokenizerLoss:
                     "cos_hat": base.cos_hat,
                 }
                 kwargs[field] = t
-                total, _ = tokenizer_loss(PhasePrediction(**kwargs), tgt, x)
+                total, _ = tokenizer_loss(PhasePrediction(**kwargs), tgt, x, 0.4)
                 return total
 
             return f

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from rvqtok.encoder import EncoderConfig
 from rvqtok.errors import CompatibilityError, ConfigError, NumericError
 from rvqtok.optim import cosine_warmup_lr
-from rvqtok.signals import Recording, SynthSpec, synth_generate
+from rvqtok.signals import STANDARD_BANDS, Recording, SynthSpec, synth_generate
 from rvqtok.tokenizer import (TokenizerConfig, TokenizerModel,
                               build_windows, eval_per_band,
                               evaluate, load_tokenizer, save_tokenizer,
@@ -24,6 +24,14 @@ def tiny_config(w=16, S=2, levels=2, K=16, code_dim=8, depth=1, heads=2):
                         mlp_dim=2 * w, n_electrodes=4, max_slots=8)
     return TokenizerConfig(encoder=enc, levels=levels, codebook_size=K,
                            code_dim=code_dim, decoder_depth=1)
+
+
+def schedule(**changes):
+    """``train_tokenizer``'s schedule arguments for tiny runs, with
+    ``changes`` applied."""
+    return {"slots_per_window": 2, "batch_size": 8, "base_lr": 1e-3,
+            "min_lr": 1e-5, "weight_decay": 1e-4, "warmup_epochs": 1,
+            "seed": 0, **changes}
 
 
 def tiny_corpus(n=2, channels=2, seconds=4.0, seed=7):
@@ -258,7 +266,8 @@ class TestTrainStep:
 class TestTrainTokenizer:
     def test_zero_epochs_returns_initial_model(self):
         cfg = tiny_config()
-        model, curves = train_tokenizer(tiny_corpus(), cfg, epochs=0)
+        model, curves = train_tokenizer(tiny_corpus(), cfg, epochs=0,
+                                        **schedule())
         assert curves == []
         fresh = TokenizerModel(cfg, seed=0)
         for a, b in zip(model.params(), fresh.params()):
@@ -266,7 +275,7 @@ class TestTrainTokenizer:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
-            train_tokenizer([], tiny_config(), epochs=1)
+            train_tokenizer([], tiny_config(), epochs=1, **schedule())
 
     def test_whole_corpus_windows_freed_by_first_step(self, monkeypatch):
         import rvqtok.tokenizer as tk
@@ -287,7 +296,7 @@ class TestTrainTokenizer:
         monkeypatch.setattr(tk, "build_windows", build)
         monkeypatch.setattr(tk, "train_step", step)
         train_tokenizer(tiny_corpus(n=3, seconds=6.0), tiny_config(), epochs=1,
-                        slots_per_window=2, batch_size=2)
+                        **schedule(batch_size=2))
         assert len(cuts) == 1
         assert alive and alive[0] == 0
 
@@ -313,7 +322,7 @@ class TestTrainTokenizer:
         monkeypatch.setattr(MultiScaleEncoder, "forward", forward)
         monkeypatch.setattr(tk, "train_step", step)
         train_tokenizer(tiny_corpus(n=3, seconds=6.0), tiny_config(), epochs=1,
-                        slots_per_window=2, batch_size=2)
+                        **schedule(batch_size=2))
         assert len(refs) == 1 + tiny_config().encoder.S
         assert alive and alive[0] == 0
 
@@ -322,7 +331,7 @@ class TestTrainTokenizer:
         results = []
         for _ in range(2):
             _, curves = train_tokenizer(recs, tiny_config(), epochs=2,
-                                        slots_per_window=2, batch_size=2, seed=9)
+                                        **schedule(batch_size=2, seed=9))
             results.append(curves)
         assert len(results[0]) == len(results[1])
         for a, b in zip(results[0], results[1]):
@@ -361,15 +370,16 @@ class TestEvalPerBand:
         model = TokenizerModel(cfg, seed=12)
         model.reconstruct = lambda p, c, s: p.copy()
         recs = tiny_corpus(n=2, seconds=8.0)
-        report = eval_per_band(model, recs, split="all", slots_per_window=2)
+        report = eval_per_band(model, recs, STANDARD_BANDS, split="all",
+                               slots_per_window=2)
         for band, mse in report.mse.items():
             assert mse == 0.0, band
 
     def test_report_covers_expected_bands(self):
         cfg = tiny_config()
         model = TokenizerModel(cfg, seed=13)
-        report = eval_per_band(model, tiny_corpus(seconds=8.0), split="all",
-                               slots_per_window=2)
+        report = eval_per_band(model, tiny_corpus(seconds=8.0), STANDARD_BANDS,
+                               split="all", slots_per_window=2)
         assert list(report.mse) == ["raw", "delta", "theta", "alpha", "beta", "gamma"]
         rows = report.rows()
         assert all(r[0] == "all" for r in rows)
@@ -378,9 +388,10 @@ class TestEvalPerBand:
         cfg = tiny_config()
         model = TokenizerModel(cfg, seed=14)
         recs = tiny_corpus(n=2, seconds=8.0)
-        a = eval_per_band(model, recs, split="all", slots_per_window=2)
-        b = eval_per_band(model, list(reversed(recs)), split="all",
+        a = eval_per_band(model, recs, STANDARD_BANDS, split="all",
                           slots_per_window=2)
+        b = eval_per_band(model, list(reversed(recs)), STANDARD_BANDS,
+                          split="all", slots_per_window=2)
         assert a.mse["raw"] == pytest.approx(b.mse["raw"], rel=1e-12)
 
 
@@ -396,7 +407,8 @@ class TestCheckpointRoundTrip:
 
     def test_loaded_model_tokenizes_identically(self, tmp_path):
         recs = tiny_corpus(seconds=4.0)
-        model, _ = train_tokenizer(recs, tiny_config(), epochs=1, batch_size=2)
+        model, _ = train_tokenizer(recs, tiny_config(), epochs=1,
+                                   **schedule(batch_size=2))
         path = tmp_path / "tok.ckpt"
         save_tokenizer(model, path)
         loaded = load_tokenizer(path)
