@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf as _erf
 
-from .errors import NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -391,8 +391,6 @@ def avgpool1d(x: Tensor, width: int) -> Tensor:
 
 def groupnorm(x: Tensor, gain: Tensor, bias: Tensor, groups: int) -> Tensor:
     """Group normalization over (C/groups, L) blocks of x (B, C, L)."""
-    from .errors import ConfigError
-
     if x.ndim != 3:
         raise ShapeError("groupnorm expects x of shape (B, C, L)")
     B, C, L = x.shape
@@ -533,8 +531,6 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     D must divide evenly into ``heads``; the optional ``w_out`` applies the
     output projection to the concatenated heads.
     """
-    from .errors import ConfigError
-
     D = q.shape[-1]
     if D % heads != 0:
         raise ConfigError(f"model dimension {D} not divisible by {heads} heads")

@@ -60,7 +60,6 @@ CONFIG_SCHEMA: dict[str, dict[str, tuple[type, str]]] = {
         "pretrain_warmup_epochs": (int, "pretraining warmup epochs"),
         "pretrain_weight_decay": (float, "pretraining AdamW weight decay"),
         "pretrain_batch_size": (int, "pretraining batch size (windows)"),
-        "pretrain_slots_per_window": (int, "pretraining window length in slots"),
     },
     "synth": {
         "recordings": (int, "number of synthetic recordings"),
@@ -87,7 +86,7 @@ DESK_PROFILE: dict[str, dict] = {
               "slots_per_window": 2, "mask_ratio": 0.5, "pretrain_epochs": 10,
               "pretrain_lr": 3e-3, "pretrain_min_lr": 1e-5,
               "pretrain_warmup_epochs": 1, "pretrain_weight_decay": 0.05,
-              "pretrain_batch_size": 2, "pretrain_slots_per_window": 2},
+              "pretrain_batch_size": 2},
     "synth": {"recordings": 16, "channels": 8, "duration": 24.0,
               "sample_rate": 128.0, "noise_level": 0.02,
               "components_per_band": 1, "probe_recordings_per_class": 16},
@@ -107,7 +106,7 @@ PAPER_PROFILE: dict[str, dict] = {
               "slots_per_window": 4, "mask_ratio": 0.5, "pretrain_epochs": 50,
               "pretrain_lr": 5e-4, "pretrain_min_lr": 1e-5,
               "pretrain_warmup_epochs": 5, "pretrain_weight_decay": 0.05,
-              "pretrain_batch_size": 64, "pretrain_slots_per_window": 4},
+              "pretrain_batch_size": 64},
     "synth": {"recordings": 64, "channels": 16, "duration": 60.0,
               "sample_rate": 200.0, "noise_level": 0.02,
               "components_per_band": 1, "probe_recordings_per_class": 16},
@@ -132,7 +131,7 @@ MINIMUMS: dict[tuple[str, str], float] = {
     ("train", "pretrain_epochs"): 0, ("train", "pretrain_warmup_epochs"): 0,
     ("train", "pretrain_lr"): 0, ("train", "pretrain_min_lr"): 0,
     ("train", "pretrain_weight_decay"): 0,
-    ("train", "pretrain_batch_size"): 1, ("train", "pretrain_slots_per_window"): 1,
+    ("train", "pretrain_batch_size"): 1,
     ("synth", "recordings"): 1, ("synth", "channels"): 1,
     ("synth", "components_per_band"): 0,
 }
@@ -180,8 +179,7 @@ class RunConfig:
             warmup_epochs=t["pretrain_warmup_epochs"],
             weight_decay=t["pretrain_weight_decay"],
             batch_size=t["pretrain_batch_size"],
-            slots_per_window=t["pretrain_slots_per_window"],
-            teacher_slots=t["slots_per_window"], seed=r["seed"])
+            slots_per_window=t["slots_per_window"], seed=r["seed"])
 
     def validate(self) -> None:
         m, t, s = self.values["model"], self.values["train"], self.values["synth"]
@@ -213,10 +211,9 @@ class RunConfig:
         if s["channels"] > m["n_electrodes"]:
             raise ConfigError(f"synth.channels {s['channels']} exceeds "
                               f"model.n_electrodes {m['n_electrodes']}")
-        for key in ("slots_per_window", "pretrain_slots_per_window"):
-            if t[key] > m["max_slots"]:
-                raise ConfigError(f"train.{key} {t[key]} exceeds "
-                                  f"model.max_slots {m['max_slots']}")
+        if t["slots_per_window"] > m["max_slots"]:
+            raise ConfigError(f"train.slots_per_window {t['slots_per_window']} "
+                              f"exceeds model.max_slots {m['max_slots']}")
         # constructing the module configs runs their own constraint checks
         self.tokenizer_config()
         self.pretrain_config()

@@ -8,7 +8,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
 from .encoder import BranchConfig, EncoderConfig
-from .spectral import PhasePrediction, forward_spectrum, tokenizer_loss
+from .spectral import (PhasePrediction, SpectralTarget, forward_spectrum,
+                       tokenizer_loss, unit_circle_loss)
 from .tokenizer import TokenizerConfig, TokenizerModel
 
 
@@ -120,8 +121,6 @@ def _case_irfft(rng):
 
 
 def _case_unit_circle(rng):
-    from .spectral import SpectralTarget, unit_circle_loss
-
     phis = rng.uniform(-np.pi, np.pi, size=7)
     tgt = SpectralTarget(np.zeros(7), np.sin(phis), np.cos(phis), 12)
     sin_hat = _fixed(rng, (7,))

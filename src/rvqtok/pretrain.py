@@ -22,7 +22,7 @@ from .checkpoint import (ZeroDraws, config_from_header, config_header, require_f
 from .encoder import EncoderConfig, Linear, MultiScaleEncoder
 from .errors import ConfigError, NumericError
 from .optim import Parameter, adamw_step, cosine_warmup_lr
-from .signals import Recording
+from .signals import Recording, SynthSpec, synth_generate
 from .tokenizer import INFERENCE_BATCH, TokenizerModel, WindowSet, build_windows
 
 
@@ -70,9 +70,6 @@ class PretrainConfig:
     weight_decay: float = 0.05
     batch_size: int = 2
     slots_per_window: int = 4
-    # window length the frozen tokenizer uses when producing teacher tokens
-    # (None: same as slots_per_window)
-    teacher_slots: int | None = None
     seed: int = 0
     #: what a checkpoint header stores beside the encoder's fields
     HEADER_FIELDS: ClassVar[tuple[str, ...]] = (
@@ -135,36 +132,6 @@ def teacher_tokens(windows: WindowSet, tokenizer: TokenizerModel) -> np.ndarray:
     return np.concatenate([
         tokenizer.token_indices(chunk.patches, chunk.channel_idx, chunk.slot_idx)
         for _, chunk in windows.batches(INFERENCE_BATCH)])
-
-
-def align_teacher(target: WindowSet, teacher_windows: WindowSet,
-                  teacher_idx: np.ndarray) -> np.ndarray:
-    """Remap per-patch teacher indices onto a differently windowed layout.
-
-    Patches are matched by (recording, channel row, absolute slot); patches
-    of the target layout missing from the teacher layout are a contract
-    violation (the teacher windowing must cover the target's patches).
-    """
-    have = np.stack([teacher_windows.rec_idx, teacher_windows.channel_idx,
-                     teacher_windows.abs_slot]).reshape(3, -1)
-    want = np.stack([target.rec_idx, target.channel_idx,
-                     target.abs_slot]).reshape(3, -1)
-    dims = tuple(int(d) + 1 for d in np.maximum(have.max(axis=1, initial=0),
-                                                want.max(axis=1, initial=0)))
-    have_key, want_key = np.ravel_multi_index(have, dims), np.ravel_multi_index(want, dims)
-    order = np.argsort(have_key, kind="stable")
-    sorted_key = have_key[order]
-    # the last of equal teacher keys wins, as it would in a dict
-    pos = np.searchsorted(sorted_key, want_key, side="right") - 1
-    covered = pos >= 0
-    covered[covered] = sorted_key[pos[covered]] == want_key[covered]
-    if not covered.all():
-        key = tuple(int(v) for v in want[:, np.argmin(covered)])
-        raise ConfigError(f"teacher windowing does not cover patch {key}")
-    W, P = target.patches.shape[:2]
-    S, N = teacher_idx.shape[2:]
-    rows = teacher_idx.reshape(-1, S, N)[order[pos]]
-    return rows.reshape(W, P, S, N).astype(np.int64, copy=False)
 
 
 def check_teacher_compat(tokenizer_header: dict, cfg: PretrainConfig) -> None:
@@ -260,19 +227,13 @@ def pretrain(dataset: list[Recording], cfg: PretrainConfig,
     check_teacher_compat(config_header(tokenizer.cfg), cfg)
     windows = build_windows(dataset, cfg.encoder.w, cfg.slots_per_window)
     train_set, val_set = windows.train, windows.val
+    del windows
     if train_set.n_windows == 0:
         raise ConfigError("no training windows after the validation split")
     backbone = BackboneModel(cfg, seed=cfg.seed)
-    # the teacher tokenizes the corpus in its own window length, which is
-    # usually this cut already
-    teacher_slots = cfg.teacher_slots or cfg.slots_per_window
-    tw = (windows if teacher_slots == cfg.slots_per_window
-          else build_windows(dataset, cfg.encoder.w, teacher_slots))
-    del windows
-    t_idx = teacher_tokens(tw, tokenizer)
-    teacher_train = align_teacher(train_set, tw, t_idx)
-    teacher_val = align_teacher(val_set, tw, t_idx) if val_set.n_windows else None
-    del tw, t_idx  # the whole-corpus cut and tokens end with the alignment
+    # the teacher labels the very patches the backbone learns to predict
+    teacher_train = teacher_tokens(train_set, tokenizer)
+    teacher_val = teacher_tokens(val_set, tokenizer) if val_set.n_windows else None
     steps_per_epoch = math.ceil(train_set.n_windows / cfg.batch_size)
     total_steps = max(1, cfg.epochs * steps_per_epoch)
     warmup_steps = cfg.warmup_epochs * steps_per_epoch
@@ -325,8 +286,6 @@ def extract_features(backbone: BackboneModel, windows: WindowSet) -> np.ndarray:
 def probe_corpus(n_per_class: int, channels: int, sample_rate: float,
                  duration: float, seed: int) -> tuple[list[Recording], np.ndarray]:
     """Alpha-dominant vs beta-dominant recordings with binary labels."""
-    from .signals import SynthSpec, synth_generate
-
     base = {"delta": (0.4, 0.6), "theta": (0.3, 0.5), "gamma": (0.05, 0.1)}
     strong, weak = (0.9, 1.3), (0.1, 0.2)
     recs, labels = [], []

@@ -13,8 +13,11 @@ pass leaves.  For each block of rows a pass runs one GEMM, giving
 ||t||^2 - 2 x.t for every entry, and a row whose best value beats its second
 best by more than the pass's slack takes that pick.  The other rows take
 every entry within the slack of their best and re-rank them by the float64
-difference form ((x - t)^2).sum(-1).  The float32 pass's slack is its
-derived rounding bound (``_slack32``), and a row with more than
+difference form ((x - t)^2).sum(-1).  In either pass a row with more than
+``SHORTLIST_CAP`` candidates first keeps, of candidates that are exact
+copies of one table row, only the lowest-index one: copies tie for every
+query, so only that one can win.  The float32 pass's slack is its derived
+rounding bound (``_slack32``), and a row that still has more than
 ``SHORTLIST_CAP`` candidates is left to the float64 pass, whose slack
 ``SEARCH_SLACK`` scales with 1 + ||x||^2 + max ||t||^2 and which re-ranks
 every candidate.  Rows whose norms lie outside the ranges where the float32
@@ -233,7 +236,9 @@ def _shortlist(x, rows, idx, table, unit_table, dtype, colscale, shift, out,
     A row whose best value beats its second best by more than its ``slack``
     takes that pick; the others take as candidates every entry within the
     slack of their best, and the ``out`` entries marked ``forced`` (the
-    ``out`` entries' GEMM values are not used), and re-rank them.
+    ``out`` entries' GEMM values are not used), and re-rank them.  A row
+    with more than ``SHORTLIST_CAP`` candidates first drops copies
+    (``_drop_copies``).
     """
     if rows.size == 0:
         return rows
@@ -272,12 +277,36 @@ def _shortlist(x, rows, idx, table, unit_table, dtype, colscale, shift, out,
         near = e[unsure] <= (low[unsure] + slack[sub[unsure]])[:, None]
         del e
         near[:, out] = forced
-        few = np.count_nonzero(near, axis=1) <= cap
+        count = np.count_nonzero(near, axis=1)
+        many = count > SHORTLIST_CAP
+        if many.any():
+            near[many] = _drop_copies(table, near[many])
+            count[many] = np.count_nonzero(near[many], axis=1)
+        few = count <= cap
         rr, cc = np.nonzero(near[few])  # row-major: each row's columns ascend
         picked = sub[unsure[few]]
         idx[picked] = _rerank(x[picked], table, rr, cc, unit_table)
         hard.append(sub[unsure[~few]])
     return np.concatenate(hard)
+
+
+def _drop_copies(table: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """``near``, rows' candidate flags over the ``table`` rows, with each
+    candidate that copies a table row flagged in any row exactly replaced by
+    the lowest-index such copy: copies tie for every query, so only that one
+    can win."""
+    cols = np.flatnonzero(near.any(axis=0))
+    # lexicographic row order; equal rows keep ascending index order
+    cols = cols[np.lexsort(table[cols].T[::-1])]
+    rows = table[cols]
+    new = np.ones(cols.size, dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    del rows
+    lowest = cols[new][np.cumsum(new) - 1]  # the first of each run of equal rows
+    r, c = np.nonzero(near[:, cols])
+    kept = np.zeros_like(near)
+    kept[r, lowest[c]] = True
+    return kept
 
 
 def _slack32(d: int, xx: np.ndarray, top: float) -> np.ndarray:
@@ -480,7 +509,7 @@ def ema_update(book: Codebook, indices: np.ndarray, inputs: np.ndarray,
     if inputs.size:
         book.reservoir = np.vstack([book.reservoir, inputs])[-RESERVOIR_CAP:]
     if not np.isfinite(book.entries).all():
-        raise ArithmeticError("EMA update produced non-finite codewords")
+        raise NumericError("EMA update produced non-finite codewords")
 
 
 def begin_epoch(book: Codebook) -> None:
@@ -537,7 +566,7 @@ def weighted_index(rng: np.random.Generator, p: np.ndarray) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def kmeans_init(book: Codebook, samples: np.ndarray, iters: int = 10, *,
+def kmeans_init(book: Codebook, samples: np.ndarray, *, iters: int,
                 rng: np.random.Generator, label: str = "") -> Codebook:
     """Seed the codebook by k-means++ plus Lloyd iterations.
 
@@ -616,7 +645,7 @@ def kmeans_init(book: Codebook, samples: np.ndarray, iters: int = 10, *,
     return book
 
 
-def kmeans_init_stack(stack: RVQStack, p_code: np.ndarray, iters: int = 10, *,
+def kmeans_init_stack(stack: RVQStack, p_code: np.ndarray, *, iters: int,
                       rng: np.random.Generator) -> None:
     """Initialize every level on the residual distribution it will see."""
     resid = np.asarray(p_code, dtype=np.float64).copy()

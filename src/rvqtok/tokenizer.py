@@ -163,13 +163,12 @@ INFERENCE_BATCH = 32
 
 @dataclass
 class WindowSet:
-    """All fixed-size windows cut from a corpus, with provenance."""
+    """All fixed-size windows cut from a corpus, with each patch's electrode
+    row and slot and each window's split."""
 
     patches: np.ndarray      # (W, P, w)
     channel_idx: np.ndarray  # (W, P) global electrode rows
     slot_idx: np.ndarray     # (W, P) slot within window
-    rec_idx: np.ndarray      # (W, P) source recording
-    abs_slot: np.ndarray     # (W, P) slot within recording
     val_mask: np.ndarray     # (W,) True for validation windows
 
     @property
@@ -178,8 +177,7 @@ class WindowSet:
 
     def subset(self, mask: np.ndarray) -> "WindowSet":
         return WindowSet(self.patches[mask], self.channel_idx[mask],
-                         self.slot_idx[mask], self.rec_idx[mask],
-                         self.abs_slot[mask], self.val_mask[mask])
+                         self.slot_idx[mask], self.val_mask[mask])
 
     def batches(self, batch_size: int, order: np.ndarray | None = None
                 ) -> Iterator[tuple[np.ndarray, "WindowSet"]]:
@@ -241,15 +239,13 @@ def build_windows(recordings: list[Recording], w: int, slots_per_window: int,
         val_starts.append(math.ceil((1.0 - val_fraction) * total_slots))
         chan_rows.append([electrodes.index(c) for c in rec.channels])
     patches = np.concatenate(cuts).reshape(-1, n_ch * slots_per_window, w)
-    W, P = patches.shape[:2]
+    W = patches.shape[0]
     rec_of = np.repeat(np.arange(len(recordings)), n_wins)                # (W,)
     start = np.concatenate([np.arange(n) for n in n_wins]) * slots_per_window
     slot_idx = np.tile(np.arange(slots_per_window), n_ch)                 # (P,)
     return WindowSet(patches,
                      np.repeat(np.array(chan_rows)[rec_of], slots_per_window, axis=1),
                      np.tile(slot_idx, (W, 1)),
-                     np.repeat(rec_of, P).reshape(W, P),
-                     start[:, None] + slot_idx,
                      start >= np.array(val_starts)[rec_of])
 
 

@@ -326,7 +326,7 @@ def test_criterion_8_linear_probe(desk_cfg, desk_pretraining):
                                 s["sample_rate"], s["duration"],
                                 seed=desk_cfg.get("run", "seed") * 10000 + 5000)
     result = run_linear_probe(desk_pretraining["result"].backbone, recs, labels,
-                              desk_cfg.get("train", "pretrain_slots_per_window"))
+                              desk_cfg.get("train", "slots_per_window"))
     acc = result["held_out_accuracy"]
     ok = acc >= 0.9
     _report(8, "linear probe separates alpha- vs beta-dominant recordings", ok,

@@ -31,7 +31,6 @@ MICRO = [
     "--set", "synth.duration=4", "--set", "synth.sample_rate=64",
     "--set", "train.tokenizer_epochs=1", "--set", "train.batch_size=2",
     "--set", "train.pretrain_epochs=1", "--set", "train.pretrain_batch_size=2",
-    "--set", "train.pretrain_slots_per_window=2",
     "--set", "synth.probe_recordings_per_class=4",
 ]
 
@@ -119,7 +118,6 @@ class TestCommands:
 
     @pytest.mark.parametrize("override", ["synth.channels=5",
                                           "train.slots_per_window=16",
-                                          "train.pretrain_slots_per_window=16",
                                           "model.heads=0", "model.mlp_dim=0",
                                           "synth.duration=0.01", "model.d_c=0",
                                           "model.D=0", "train.batch_size=0",

@@ -1,6 +1,8 @@
 """Every top-level import in the package is used (a stdlib stand-in for a
 linter's unused-import rule), and so is every top-level function and class:
-the package holds only what the program or the benchmark calls."""
+the package holds only what the program or the benchmark calls.  Every
+config key is read somewhere, too: a knob nothing reads is a knob that does
+nothing."""
 
 import ast
 from collections import Counter
@@ -16,6 +18,8 @@ BENCHMARK = sorted(p for p in (Path(__file__).parents[1] / "perfbench").glob("*.
                    if not p.name.startswith("test_"))
 #: The console script ``pyproject.toml`` names.
 ENTRY_POINTS = {("cli.py", "main")}
+#: The config module's literals that declare keys rather than read them.
+KEY_DECLARATIONS = {"CONFIG_SCHEMA", "DESK_PROFILE", "PAPER_PROFILE", "MINIMUMS"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -86,3 +90,47 @@ def test_every_definition_is_used():
     assert BENCHMARK, "perfbench/ not found beside tests/"
     package = {p.name: p.read_text() for p in MODULES}
     assert unused_definitions(package, [p.read_text() for p in BENCHMARK]) == []
+
+
+def _strings(tree: ast.AST) -> set[str]:
+    """Every string constant under ``tree``."""
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def unread_config_keys(config_source: str, readers: list[str]) -> list[str]:
+    """``section.key`` of each ``CONFIG_SCHEMA`` key in ``config_source``
+    that no string constant names, in ``readers`` or in ``config_source``
+    outside the ``KEY_DECLARATIONS`` literals.  Keys are read by their
+    names (``t["mask_ratio"]``, ``cfg.get("train", "mask_ratio")``), so a
+    key whose name appears nowhere else is read nowhere."""
+    schema, named = None, set()
+    for node in ast.parse(config_source).body:
+        target = (node.target if isinstance(node, ast.AnnAssign)
+                  else node.targets[0] if isinstance(node, ast.Assign) else None)
+        if isinstance(target, ast.Name) and target.id in KEY_DECLARATIONS:
+            if target.id == "CONFIG_SCHEMA":
+                schema = node.value
+            continue
+        named |= _strings(node)
+    for src in readers:
+        named |= _strings(ast.parse(src))
+    return [f"{section.value}.{key.value}"
+            for section, keys in zip(schema.keys, schema.values)
+            for key in keys.keys if key.value not in named]
+
+
+def test_finds_an_unread_config_key():
+    config = ('CONFIG_SCHEMA = {"train": {"lr": (float, "rate"), "spare": (int, "n")},\n'
+              '                 "run": {"seed": (int, "seed")}}\n'
+              'DESK_PROFILE = {"train": {"lr": 0.1, "spare": 2}, "run": {"seed": 0}}\n'
+              'MINIMUMS = {("train", "spare"): 1}\n'
+              'def lr(t):\n    return t["lr"]\n')
+    assert unread_config_keys(config, ['seed = cfg.get("run", "seed")\n']) == [
+        "train.spare"]
+
+
+def test_every_config_key_is_read():
+    config = next(p for p in MODULES if p.name == "config.py")
+    readers = [p.read_text() for p in MODULES + BENCHMARK if p != config]
+    assert unread_config_keys(config.read_text(), readers) == []

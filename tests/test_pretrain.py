@@ -7,8 +7,6 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rvqtok import autodiff as ad
 from rvqtok import pretrain as pt
@@ -18,15 +16,14 @@ from rvqtok.checkpoint import config_header, save_arrays
 from rvqtok.config import load_config
 from rvqtok.encoder import EncoderConfig
 from rvqtok.errors import CompatibilityError, ConfigError
-from rvqtok.pretrain import (BackboneModel, PretrainConfig, align_teacher,
-                             check_teacher_compat, extract_features,
-                             fit_linear_probe, make_symmetric_masks,
+from rvqtok.pretrain import (BackboneModel, PretrainConfig, check_teacher_compat,
+                             extract_features, fit_linear_probe, make_symmetric_masks,
                              masked_metrics, pretrain, pretrain_step,
                              probe_corpus, run_linear_probe, load_backbone,
                              save_backbone, teacher_tokens)
 from rvqtok.rvq import normalize_rows
 from rvqtok.signals import SynthSpec, synth_generate
-from rvqtok.tokenizer import WindowSet, build_windows, train_tokenizer
+from rvqtok.tokenizer import build_windows, train_tokenizer
 from tests.helpers import load_arrays
 from tests.test_autodiff import retained_backward
 from tests.test_tokenizer import schedule, tiny_config, tiny_corpus
@@ -40,15 +37,16 @@ def tiny_pretrain_config(w=16, S=2, levels=2, K=16, depth=1, **kw):
                           batch_size=2, slots_per_window=2, **kw)
 
 
-def _patch_keys(windows):
-    """(recording, channel row, absolute slot) of every patch, window-major."""
-    keys = np.stack([windows.rec_idx, windows.channel_idx, windows.abs_slot], axis=-1)
-    return list(map(tuple, keys.reshape(-1, 3).tolist()))
+def _window_keys(windows):
+    """Each window's patch values and channel rows, as bytes: the inputs its
+    tokens depend on besides the slot indices every window shares."""
+    return [(windows.patches[i].tobytes(), windows.channel_idx[i].tobytes())
+            for i in range(windows.n_windows)]
 
 
-def _tokens_by_patch(windows, tokens):
-    """Each patch's (S, N) tokens keyed by :func:`_patch_keys`."""
-    return dict(zip(_patch_keys(windows), tokens.reshape(-1, *tokens.shape[2:])))
+def _tokens_by_window(windows, tokens):
+    """Each window's (P, S, N) tokens keyed by :func:`_window_keys`."""
+    return dict(zip(_window_keys(windows), tokens))
 
 
 def desk_batch():
@@ -203,80 +201,6 @@ class TestTeacherTokens:
         with pytest.raises(CompatibilityError) as err:
             check_teacher_compat(config_header(tok_model.cfg), cfg)
         assert "codebook_size" in str(err.value)
-
-
-def dict_align_teacher(target, teacher_windows, teacher_idx):
-    """Reference for align_teacher: a dict over every teacher patch (the last
-    of repeated keys wins) and a loop over every target patch."""
-    lookup = {}
-    for wi in range(teacher_windows.n_windows):
-        for pi in range(teacher_windows.patches.shape[1]):
-            key = (int(teacher_windows.rec_idx[wi, pi]),
-                   int(teacher_windows.channel_idx[wi, pi]),
-                   int(teacher_windows.abs_slot[wi, pi]))
-            lookup[key] = teacher_idx[wi, pi]
-    W, P = target.patches.shape[:2]
-    out = np.zeros((W, P) + teacher_idx.shape[2:], dtype=np.int64)
-    for wi in range(W):
-        for pi in range(P):
-            key = (int(target.rec_idx[wi, pi]), int(target.channel_idx[wi, pi]),
-                   int(target.abs_slot[wi, pi]))
-            if key not in lookup:
-                raise ConfigError(f"teacher windowing does not cover patch {key}")
-            out[wi, pi] = lookup[key]
-    return out
-
-
-def keyed_windows(keys):
-    """A WindowSet whose patches carry the given (W, P, 3) provenance keys."""
-    W, P = keys.shape[:2]
-    return WindowSet(np.zeros((W, P, 1)), keys[..., 1], np.zeros((W, P), dtype=np.int64),
-                     keys[..., 0], keys[..., 2], np.zeros(W, dtype=bool))
-
-
-class TestAlignTeacher:
-    def test_remaps_between_window_lengths(self, trained_pair):
-        recs, tok_model = trained_pair
-        wide = build_windows(recs, 16, 4, val_fraction=0.0)
-        narrow = build_windows(recs, 16, 2, val_fraction=0.0)
-        t_idx = teacher_tokens(narrow, tok_model)
-        mapped = align_teacher(wide, narrow, t_idx)
-        # spot-check one patch by provenance
-        wi, pi = 1, 5
-        key = (wide.rec_idx[wi, pi], wide.channel_idx[wi, pi], wide.abs_slot[wi, pi])
-        hits = [(w2, p2) for w2 in range(narrow.n_windows)
-                for p2 in range(narrow.patches.shape[1])
-                if (narrow.rec_idx[w2, p2], narrow.channel_idx[w2, p2],
-                    narrow.abs_slot[w2, p2]) == key]
-        assert len(hits) == 1
-        np.testing.assert_array_equal(mapped[wi, pi], t_idx[hits[0][0], hits[0][1]])
-
-
-    @given(seed=st.integers(0, 2 ** 31 - 1), Wt=st.integers(1, 5), Pt=st.integers(1, 6),
-           W=st.integers(0, 5), P=st.integers(1, 6), span=st.integers(1, 4),
-           uncovered=st.integers(0, 3))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_dict_lookup(self, seed, Wt, Pt, W, P, span, uncovered):
-        """Small key ranges make teacher keys repeat; uncovered target
-        patches raise the dict lookup's error, naming the same patch."""
-        rng = np.random.default_rng(seed)
-        teacher_keys = rng.integers(0, span, size=(Wt, Pt, 3))
-        t_idx = rng.integers(0, 50, size=(Wt, Pt, 2, 3))
-        flat = teacher_keys.reshape(-1, 3)
-        keys = flat[rng.integers(0, len(flat), size=(W, P))]
-        for k in range(uncovered if W else 0):
-            keys[rng.integers(W), rng.integers(P)] = (span + k, 0, rng.integers(span))
-        target, teacher = keyed_windows(keys), keyed_windows(teacher_keys)
-        try:
-            want = dict_align_teacher(target, teacher, t_idx)
-        except ConfigError as err:
-            with pytest.raises(ConfigError) as got:
-                align_teacher(target, teacher, t_idx)
-            assert str(got.value) == str(err)
-            return
-        got = align_teacher(target, teacher, t_idx)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        np.testing.assert_array_equal(got, want)
 
 
 class TestPretrainStep:
@@ -470,17 +394,15 @@ class TestPretrainLoop:
         assert a == b
 
     @staticmethod
-    def _run_checking_labels(monkeypatch, recs, cfg, tok_model, by_patch):
+    def _run_checking_labels(monkeypatch, recs, cfg, tok_model, by_window):
         """Run ``pretrain``, check that every training batch and the
-        validation set used the tokens ``by_patch`` holds for their patches,
-        and return the curves."""
-        import rvqtok.pretrain as pt
-
+        validation set used the tokens ``by_window`` holds for their
+        windows, and return the curves."""
         seen = []
         real_step, real_metrics = pt.pretrain_step, pt.masked_metrics
 
         def check(windows, teacher):
-            want = np.stack([by_patch[k] for k in _patch_keys(windows)])
+            want = np.stack([by_window[k] for k in _window_keys(windows)])
             np.testing.assert_array_equal(teacher.reshape(want.shape), want)
             seen.append(windows.n_windows)
 
@@ -499,40 +421,30 @@ class TestPretrainLoop:
         assert sum(seen) == cfg.epochs * windows.n_windows
         return curves
 
-    @pytest.mark.parametrize("teacher_slots", [None, 2])
+    @pytest.mark.parametrize("slots", [2, 4])
     def test_equal_window_lengths_train_on_direct_teacher_tokens(
-            self, trained_pair, monkeypatch, teacher_slots):
+            self, trained_pair, monkeypatch, slots):
         recs, tok_model = trained_pair
-        cfg = tiny_pretrain_config(epochs=1, seed=0, teacher_slots=teacher_slots)
-        windows = build_windows(recs, 16, cfg.slots_per_window)
-        assert windows.val.n_windows > 0
-        # the oracle tokenizes the train and val sets directly
-        by_patch = {**_tokens_by_patch(windows.train,
-                                       teacher_tokens(windows.train, tok_model)),
-                    **_tokens_by_patch(windows.val,
-                                       teacher_tokens(windows.val, tok_model))}
-        self._run_checking_labels(monkeypatch, recs, cfg, tok_model, by_patch)
-
-    @pytest.mark.parametrize("slots,teacher_slots", [(2, 4), (4, 2)])
-    def test_other_teacher_window_length_trains_end_to_end(
-            self, trained_pair, monkeypatch, slots, teacher_slots):
-        recs, tok_model = trained_pair
-        cfg = tiny_pretrain_config(epochs=2, seed=0, teacher_slots=teacher_slots)
+        cfg = tiny_pretrain_config(epochs=2, seed=0)
         cfg.slots_per_window = slots
-        # every patch trains on the tokens of the same patch in the
-        # tokenizer's own windowing
-        tw = build_windows(recs, 16, teacher_slots, val_fraction=0.0)
-        by_patch = _tokens_by_patch(tw, teacher_tokens(tw, tok_model))
+        windows = build_windows(recs, 16, slots)
+        # 24 slots per recording: 2-slot windows leave one validation window
+        # each, 4-slot windows none, so both branches of the loop run
+        assert (windows.val.n_windows > 0) == (slots == 2)
+        # the oracle tokenizes the train and val sets directly
+        by_window = {}
+        for split in (windows.train, windows.val):
+            if split.n_windows:
+                by_window.update(_tokens_by_window(split, teacher_tokens(split, tok_model)))
         curves = self._run_checking_labels(monkeypatch, recs, cfg, tok_model,
-                                           by_patch)
+                                           by_window)
         assert [r["epoch"] for r in curves if r["split"] == "train"] == [1, 2]
         assert all(math.isfinite(r["ce_loss"]) for r in curves)
 
-    @pytest.mark.parametrize("teacher_slots", [None, 4])
     def test_whole_corpus_windows_freed_by_first_step(self, trained_pair,
-                                                     monkeypatch, teacher_slots):
+                                                     monkeypatch):
         recs, tok_model = trained_pair
-        cfg = tiny_pretrain_config(epochs=1, seed=0, teacher_slots=teacher_slots)
+        cfg = tiny_pretrain_config(epochs=1, seed=0)
         cuts, alive = [], []
         real_build, real_step = pt.build_windows, pt.pretrain_step
 
@@ -549,8 +461,8 @@ class TestPretrainLoop:
         monkeypatch.setattr(pt, "build_windows", build)
         monkeypatch.setattr(pt, "pretrain_step", step)
         pt.pretrain(recs, cfg, tok_model)
-        # one cut when the teacher shares the window length, else two
-        assert len(cuts) == (1 if teacher_slots is None else 2)
+        # the corpus is cut once, and the cut is gone once split
+        assert len(cuts) == 1
         assert alive and alive[0] == 0
 
     def test_teacher_indices_stable_across_epochs(self, trained_pair):

@@ -224,6 +224,30 @@ class TestNearestRows:
         np.testing.assert_array_equal(idx, want)
         assert peak < 16 * 2 ** 20
 
+    def test_duplicate_codewords_memory_bounded(self):
+        # dead-code reinit can reseed several entries from one reservoir row.
+        # Exact copies tie for every query, so only the lowest-index one can
+        # win; when a row re-ranked every copy, these 64 queries, 48 of them
+        # near one row copied 4096 times, peaked at 391 MiB.
+        rng = np.random.default_rng(15)
+        table = rng.normal(size=(8192, 128))
+        copies = rng.choice(8192, 4096, replace=False)
+        table[copies] = table[copies[-1]]
+        q = rng.normal(size=(64, 128))
+        q[:48] = 3.0 * table[copies[0]] + 1e-3 * rng.normal(size=(48, 128))
+        book = Codebook(table)
+        tracemalloc.start()
+        try:
+            idx, _ = quantize_level(q, book)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = np.concatenate([_broadcast_quantize(q[i:i + 1], table)
+                               for i in range(len(q))])
+        assert set(want[:48]) == {copies.min()}
+        np.testing.assert_array_equal(idx, want)
+        assert peak < 16 * 2 ** 20
+
     def test_paper_batch_memory_bounded(self):
         # 32 windows x 64 patches against a K=8192, d_c=128 book: a (B, K, d)
         # tensor would be 16 GiB and one (B, K) distance matrix is 128 MB
@@ -442,7 +466,7 @@ def test_loaded_desk_books_match_the_same_values_in_float64(desk_books,
     one = np.random.default_rng(4).normal(size=(1, padded.dim))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        kmeans_init(padded, np.repeat(one, 2 * padded.K, axis=0),
+        kmeans_init(padded, np.repeat(one, 2 * padded.K, axis=0), iters=10,
                     rng=np.random.default_rng(4))
     for n, trained in enumerate((seeded_model, model)):
         tk.save_tokenizer(trained, tmp_path / f"{n}.ckpt")
@@ -760,6 +784,13 @@ class TestEMA:
                        decay=0.5)
         assert np.isfinite(book.entries).all()
 
+    def test_non_finite_update_raises_numeric_error(self):
+        book = Codebook(np.zeros((4, 2)))
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericError, match="non-finite codewords"):
+            ema_update(book, np.zeros(2, dtype=int), np.full((2, 2), 1e308),
+                       decay=0.5)
+
     def test_dead_code_reinit_only_after_full_epoch(self):
         rng = np.random.default_rng(4)
         book = Codebook(rng.normal(size=(4, 2)))
@@ -991,7 +1022,7 @@ class TestKMeansInit:
         for bad in (np.nan, np.inf):
             samples[3, 1] = bad
             with pytest.raises(NumericError, match="level 2"):
-                kmeans_init(Codebook(np.zeros((4, 2)) + 0.5), samples,
+                kmeans_init(Codebook(np.zeros((4, 2)) + 0.5), samples, iters=10,
                             rng=np.random.default_rng(0), label="level 2")
 
     def test_recovers_separated_cluster_means(self):
@@ -1047,7 +1078,7 @@ class TestKMeansInit:
     def test_too_few_samples_rejected(self):
         book = Codebook(np.zeros((4, 2)) + 0.5)
         with pytest.raises(ConfigError):
-            kmeans_init(book, np.zeros((2, 2)), rng=np.random.default_rng(0))
+            kmeans_init(book, np.zeros((2, 2)), iters=10, rng=np.random.default_rng(0))
 
     def test_stack_init_reduces_residual(self):
         rng = np.random.default_rng(8)

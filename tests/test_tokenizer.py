@@ -58,7 +58,8 @@ class TestBuildWindows:
         assert wins.n_windows == 2
         np.testing.assert_array_equal(wins.channel_idx[0], [0, 0, 1, 1])
         np.testing.assert_array_equal(wins.slot_idx[0], [0, 1, 0, 1])
-        np.testing.assert_array_equal(wins.abs_slot[1], [2, 3, 2, 3])
+        # window 1 holds slots 2 and 3: each patch starts at its slot's sample
+        np.testing.assert_array_equal(wins.patches[1, :, 0], [32, 48, 96, 112])
 
     def test_mismatched_channel_counts_rejected(self):
         recs = [Recording(64.0, ["a"], np.zeros((1, 64))),
@@ -79,9 +80,8 @@ class TestBuildWindows:
             for name in rec.channels:
                 if name not in electrodes:
                     electrodes.append(name)
-        blocks = {k: [] for k in ("patches", "channel_idx", "slot_idx",
-                                  "rec_idx", "abs_slot", "val")}
-        for r, rec in enumerate(recordings):
+        blocks = {k: [] for k in ("patches", "channel_idx", "slot_idx", "val")}
+        for rec in recordings:
             total_slots = rec.n_samples // w
             n_win = total_slots // slots_per_window
             val_start = math.ceil((1.0 - val_fraction) * total_slots)
@@ -92,15 +92,10 @@ class TestBuildWindows:
                 blocks["patches"].append(data[:, wi].reshape(n_ch * slots_per_window, w))
                 blocks["channel_idx"].append(np.repeat(chan_rows, slots_per_window))
                 blocks["slot_idx"].append(np.tile(np.arange(slots_per_window), n_ch))
-                abs_slots = wi * slots_per_window + np.arange(slots_per_window)
-                blocks["abs_slot"].append(np.tile(abs_slots, n_ch))
-                blocks["rec_idx"].append(np.full(n_ch * slots_per_window, r))
-                blocks["val"].append(abs_slots[0] >= val_start)
+                blocks["val"].append(wi * slots_per_window >= val_start)
         return {"patches": np.stack(blocks["patches"]),
                 "channel_idx": np.stack(blocks["channel_idx"]),
                 "slot_idx": np.stack(blocks["slot_idx"]),
-                "rec_idx": np.stack(blocks["rec_idx"]),
-                "abs_slot": np.stack(blocks["abs_slot"]),
                 "val_mask": np.asarray(blocks["val"], dtype=bool)}
 
     @staticmethod
@@ -164,8 +159,7 @@ class TestBatches:
                                       np.arange(16))
         for (idx, chunk), (sel, ref) in zip(got, want):
             np.testing.assert_array_equal(idx, np.flatnonzero(sel))
-            for name in ("patches", "channel_idx", "slot_idx", "rec_idx",
-                         "abs_slot", "val_mask"):
+            for name in ("patches", "channel_idx", "slot_idx", "val_mask"):
                 np.testing.assert_array_equal(getattr(chunk, name), getattr(ref, name))
 
 
