@@ -397,10 +397,10 @@ def groupnorm(x: Tensor, gain: Tensor, bias: Tensor, groups: int) -> Tensor:
     if C % groups != 0:
         raise ConfigError(f"groupnorm: {groups} groups do not divide {C} channels")
     xg = x.data.reshape(B, groups, C // groups * L)
-    mu = xg.mean(axis=2, keepdims=True)
-    var = xg.var(axis=2, keepdims=True)
-    inv = 1.0 / np.sqrt(var + NORM_EPS)
-    xhat = ((xg - mu) * inv).reshape(B, C, L)
+    xhat = xg - xg.mean(axis=2, keepdims=True)
+    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=2, keepdims=True) + NORM_EPS)
+    xhat *= inv
+    xhat = xhat.reshape(B, C, L)
     out = xhat * gain.data[:, None] + bias.data[:, None]
 
     def bwd(g):
@@ -418,10 +418,9 @@ def groupnorm(x: Tensor, gain: Tensor, bias: Tensor, groups: int) -> Tensor:
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Layer normalization over the last axis."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + NORM_EPS)
-    xhat = (x.data - mu) * inv
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + NORM_EPS)
+    xhat *= inv
     out = xhat * gain.data + bias.data
 
     def bwd(g):

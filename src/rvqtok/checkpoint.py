@@ -96,7 +96,7 @@ def save_arrays(path: str | Path, kind: str, config: dict,
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
         for a in arrays.values():
-            fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(a, dtype="<f4"))
 
 
 def _nbytes(shape: tuple) -> int:

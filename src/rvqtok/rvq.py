@@ -28,7 +28,8 @@ win.  Each slack exceeds the rounding error of its form, so the exact
 minimum is always shortlisted, and the re-rank computes the same float64
 values a full (B, K, d) broadcast would: picks, exact ties and lowest-index
 tie-breaking included, are those of the broadcast, bit for bit.  A block
-holds rows x K GEMM values and d values per candidate it re-ranks.
+holds rows x K GEMM values, and the re-rank gathers its candidates in
+blocks of ``SEARCH_BLOCK // 4`` values.
 
 k-means++ seeding keeps each row's distance to its nearest centre the same
 way: a GEMV per new centre shortlists the rows it may be nearer to, and
@@ -335,13 +336,19 @@ def _rerank(x: np.ndarray, table: np.ndarray, r: np.ndarray, c: np.ndarray,
     difference form, ties to the lowest index: the broadcast's own float64
     values.  (r, c) lists every row's candidates, rows ascending and each
     row's columns ascending; every row has at least one.  Candidate rows of
-    a float32 table are widened, exactly, as they are read."""
-    cand = normalize_rows(table[c]) if unit_table else table[c]
-    diff = x[r]
-    diff -= cand
-    del cand
-    np.square(diff, out=diff)
-    exact = diff.sum(-1)
+    a float32 table are widened, exactly, as they are read.  The pairs are
+    gathered ``SEARCH_BLOCK // (4 d)`` at a time; a pair's sum does not
+    depend on the block it is in."""
+    step = max(1, SEARCH_BLOCK // (4 * x.shape[1]))
+    exact = np.empty(r.size)
+    for lo in range(0, r.size, step):
+        cb = c[lo:lo + step]
+        cand = normalize_rows(table[cb]) if unit_table else table[cb]
+        diff = x[r[lo:lo + step]]
+        diff -= cand
+        del cand
+        np.square(diff, out=diff)
+        exact[lo:lo + step] = diff.sum(-1)
     order = np.lexsort((c, exact, r))
     first = np.flatnonzero(np.diff(r, prepend=-1))
     return c[order[first]]

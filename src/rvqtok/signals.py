@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import butter, sosfiltfilt
+import scipy
 
 from .errors import ConfigError, ParseError
 
@@ -211,11 +211,11 @@ def _load_raw_f32(path: Path) -> Recording:
 def bandpass(x: np.ndarray, band: BandSpec, sample_rate: float) -> np.ndarray:
     """Zero-phase 4th-order Butterworth band-pass along the last axis."""
     low, high = band.edges(sample_rate)
-    sos = butter(4, [low, high], btype="bandpass", fs=sample_rate, output="sos")
+    sos = scipy.signal.butter(4, [low, high], btype="bandpass", fs=sample_rate, output="sos")
     x = np.asarray(x, dtype=np.float64)
     # clamp the edge padding for inputs shorter than the default transient pad
     padlen = min(x.shape[-1] - 1, 3 * (2 * sos.shape[0] + 1))
-    return sosfiltfilt(sos, x, axis=-1, padlen=padlen)
+    return scipy.signal.sosfiltfilt(sos, x, axis=-1, padlen=padlen)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,55 @@ def test_groupnorm_rejects_bad_group_count():
         ad.groupnorm(x, Tensor(np.ones(6)), Tensor(np.zeros(6)), groups=4)
 
 
+def _first_norm(x, dout, axis):
+    """Normalization of ``x`` over ``axis`` by the first formula (the mean,
+    ``np.var``, then the centring again): the normalized ``x`` and the
+    gradient of ``x`` given the normalized array's gradient ``dout``."""
+    mu = x.mean(axis=axis, keepdims=True)
+    var = x.var(axis=axis, keepdims=True)
+    inv = 1.0 / np.sqrt(var + ad.NORM_EPS)
+    xhat = (x - mu) * inv
+    m1 = dout.mean(axis=axis, keepdims=True)
+    m2 = (dout * xhat).mean(axis=axis, keepdims=True)
+    return xhat, (dout - m1 - xhat * m2) * inv
+
+
+@given(seed=st.integers(0, 2 ** 31 - 1), kind=st.sampled_from(["layer", "group"]),
+       rows=st.integers(1, 4), groups=st.integers(1, 4), width=st.integers(1, 24),
+       scale=st.sampled_from([1e-6, 1e-2, 1.0, 1e3, 1e8]),
+       offset=st.sampled_from([0.0, 1.0, -1e4, 1e6]))
+@settings(max_examples=150, deadline=None)
+def test_norms_match_first_formula_bytes(seed, kind, rows, groups, width, scale, offset):
+    # the norms compute the variance from their centred array; np.var runs
+    # the same operations, so outputs and gradients keep every bit
+    rng = np.random.default_rng(seed)
+    channels = width if kind == "layer" else 2 * groups
+    shape = (rows, 3, width) if kind == "layer" else (rows, channels, width)
+    x = offset + scale * rng.normal(size=shape)
+    gain, bias = rng.normal(size=channels), rng.normal(size=channels)
+    g = rng.normal(size=shape)
+    xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gain, bias))
+    with Tape() as tape:
+        if kind == "layer":
+            out = ad.layernorm(xt, gt, bt)
+        else:
+            out = ad.groupnorm(xt, gt, bt, groups=groups)
+        loss = ad.tsum(ad.mul(out, Tensor(g)))
+    backward(tape, loss)
+    if kind == "layer":
+        xhat, gx = _first_norm(x, g * gain, axis=-1)
+        want = (xhat * gain + bias, gx, (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1)))
+    else:
+        grouped = (rows, groups, -1)
+        xhat, gx = _first_norm(x.reshape(grouped), (g * gain[:, None]).reshape(grouped),
+                               axis=2)
+        xhat = xhat.reshape(shape)
+        want = (xhat * gain[:, None] + bias[:, None], gx.reshape(shape),
+                (g * xhat).sum(axis=(0, 2)), g.sum(axis=(0, 2)))
+    for got, expect in zip((out.data, xt.grad, gt.grad, bt.grad), want):
+        assert got.tobytes() == expect.tobytes()
+
+
 def test_backward_sum_gives_ones():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     with Tape() as tape:

@@ -2,9 +2,13 @@
 linter's unused-import rule), and so is every top-level function and class:
 the package holds only what the program or the benchmark calls.  Every
 config key is read somewhere, too: a knob nothing reads is a knob that does
-nothing."""
+nothing.  And the program's entry points start without ``scipy.signal``,
+which only a band-pass needs."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -134,3 +138,15 @@ def test_every_config_key_is_read():
     config = next(p for p in MODULES if p.name == "config.py")
     readers = [p.read_text() for p in MODULES + BENCHMARK if p != config]
     assert unread_config_keys(config.read_text(), readers) == []
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # scipy.signal holds about half a desk process's memory; it loads on
+    # the first band-pass (eval-bands, criterion 6), not at start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(rvqtok.__file__).parents[1]))
+    probe = ("import sys\n"
+             "import rvqtok.cli, rvqtok.tokenizer, rvqtok.pretrain\n"
+             "print('scipy.signal' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"

@@ -248,6 +248,31 @@ class TestNearestRows:
         np.testing.assert_array_equal(idx, want)
         assert peak < 16 * 2 ** 20
 
+    def test_collinear_codewords_memory_bounded(self):
+        # positive multiples of one codeword tie in the unit metric but are
+        # not exact copies, so a query near them re-ranks every one in the
+        # float64 pass; when that re-rank gathered all (row, candidate)
+        # pairs at once, these 64 queries, 48 of them near 4096 multiples of
+        # one row, peaked at 391 MiB.
+        rng = np.random.default_rng(16)
+        table = rng.normal(size=(8192, 128))
+        multiples = rng.choice(8192, 4096, replace=False)
+        table[multiples] = (rng.uniform(0.5, 2.0, size=(4096, 1))
+                            * table[multiples[0]])
+        q = rng.normal(size=(64, 128))
+        q[:48] = 3.0 * table[multiples[0]] + 1e-3 * rng.normal(size=(48, 128))
+        book = Codebook(table)
+        tracemalloc.start()
+        try:
+            idx, _ = quantize_level(q, book)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = np.concatenate([_broadcast_quantize(q[i:i + 1], table)
+                               for i in range(len(q))])
+        np.testing.assert_array_equal(idx, want)
+        assert peak < 32 * 2 ** 20
+
     def test_paper_batch_memory_bounded(self):
         # 32 windows x 64 patches against a K=8192, d_c=128 book: a (B, K, d)
         # tensor would be 16 GiB and one (B, K) distance matrix is 128 MB
