@@ -7,13 +7,20 @@ entry's backward rule and accumulating into a gradient map.  The walk empties
 the tape as it goes, so each tape is walked once.  Accumulation order is
 fixed by tape order, which makes repeated forward + backward runs
 bit-identical.
+
+Where no tape records, :func:`parallel_map` and :func:`split_map` spread
+independent work over the process's cores on a thread pool; numpy releases
+the interpreter lock inside its kernels.  Under a tape both run serially on
+the calling thread, so recording and gradients stay single-threaded.
 """
 
 from __future__ import annotations
 
 import builtins
 import math
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,6 +34,9 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 NORM_EPS = 1e-5
 #: Central-difference step of ``grad_check``.
 FD_STEP = 1e-5
+#: Threads that share a ``parallel_map``, the calling thread included: the
+#: cores the process may run on.
+WORKERS = len(os.sched_getaffinity(0))
 
 
 class Tensor:
@@ -115,6 +125,70 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _worker_pool() -> ThreadPoolExecutor:
+    """The ``WORKERS - 1`` pool threads, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="rvqtok")
+        return _pool
+
+
+def _run_group(fn: Callable, group: list) -> list:
+    _active.pooled = True
+    try:
+        return [fn(item) for item in group]
+    finally:
+        _active.pooled = False
+
+
+def parallel_map(fn: Callable, items) -> list:
+    """``[fn(i) for i in items]``, spread over ``WORKERS`` threads.
+
+    The items are cut into contiguous groups, one per thread; the caller
+    runs the first and the pool the rest, and results come back in input
+    order.  An exception raised by an item reaches the caller once every
+    group has finished.  The items run in order on the calling thread when a
+    tape records there, inside another ``parallel_map``, or when the process
+    has one core.
+    """
+    items = list(items)
+    n = min(WORKERS, len(items))
+    if n < 2 or _tape_stack() or getattr(_active, "pooled", False):
+        return [fn(item) for item in items]
+    cuts = [len(items) * g // n for g in range(n + 1)]
+    groups = [items[a:b] for a, b in zip(cuts, cuts[1:])]
+    pool = _worker_pool()
+    futures = [pool.submit(_run_group, fn, group) for group in groups[1:]]
+    try:
+        out = _run_group(fn, groups[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        out.extend(future.result())
+    return out
+
+
+def split_map(fn: Callable[[Tensor], Tensor], x: Tensor, parts: int) -> Tensor:
+    """``fn(x)`` for an ``fn`` that treats leading-axis rows independently.
+
+    Under a tape this is the single call ``fn(x)``.  Otherwise ``fn`` runs
+    through :func:`parallel_map` on ``parts`` equal slices of the leading
+    axis, and the results are concatenated.
+    """
+    if x.shape[0] % parts:
+        raise ShapeError(f"split_map: {x.shape[0]} rows do not split into {parts} parts")
+    if _tape_stack():
+        return fn(x)
+    rows = x.shape[0] // parts
+    pieces = [Tensor(x.data[i * rows:(i + 1) * rows]) for i in range(parts)]
+    return concat(parallel_map(fn, pieces), axis=0)
 
 
 def _record(name: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,

@@ -284,6 +284,9 @@ class MultiScaleEncoder:
 
         The S branches share the embedding tables, the input projection and
         the transformer, so they run through them as one (S * B)-row batch.
+        Where no tape records, the transformer takes each branch's B rows as
+        its own call, on ``ad.split_map``'s threads; every row's values are
+        those of the batched call.
         ``features`` overrides the stacked branch outputs (the
         masked-pretraining path substitutes mask tokens before the
         embeddings are added).  Channel and slot rows outside the embedding
@@ -305,7 +308,7 @@ class MultiScaleEncoder:
         if self.input_proj is not None:
             x = self.input_proj(x)
         D = x.shape[-1]
-        x = self.transformer(ad.reshape(x, (S * B, P, D)))
+        x = ad.split_map(self.transformer, ad.reshape(x, (S * B, P, D)), S)
         x = ad.reshape(x, (S, B, P, D))
         return [ad.index(x, s) for s in range(S)]
 

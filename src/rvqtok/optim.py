@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Iterable
 
 import numpy as np
@@ -45,10 +46,34 @@ ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 
 
+def _scratch_like(buf: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The leading ``a.size`` values of the flat ``buf`` as an array of
+    ``a``'s shape whose axes lie in memory in ``a``'s order: the layout numpy
+    gives a fresh elementwise result of ``a``, so a sum over the view adds in
+    the order it would over that result."""
+    order = sorted(range(a.ndim), key=lambda i: -abs(a.strides[i]))
+    dense = buf[:a.size].reshape([a.shape[i] for i in order])
+    return dense.transpose([order.index(i) for i in range(a.ndim)])
+
+
+def _owner(a: np.ndarray) -> int:
+    return id(a if a.base is None else a.base)
+
+
 def adamw_step(params: Iterable[Parameter], lr: float = 1e-3,
                weight_decay: float = 0.0) -> None:
-    """Decoupled-weight-decay Adam update, in place."""
+    """Decoupled-weight-decay Adam update, in place.
+
+    Each parameter's data and moments are overwritten through ``out=``, with
+    one scratch buffer of two slots as large as the largest parameter for
+    the intermediate terms.  The operations and their order are those of
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    data = data (1 - lr decay) - lr m^ / (sqrt(v^) + eps), so every value is
+    the one fresh arrays would hold.
+    """
     b1, b2 = ADAM_BETAS
+    params = list(params)
+    scratch = np.empty((2, max((p.data.size for p in params), default=0)))
     for p in params:
         g = p.tensor.grad
         if g is None:
@@ -58,27 +83,49 @@ def adamw_step(params: Iterable[Parameter], lr: float = 1e-3,
         if p.m is None:
             p.m, p.v = np.zeros_like(p.data), np.zeros_like(p.data)
         p.step += 1
-        p.m = b1 * p.m + (1.0 - b1) * g
-        p.v = b2 * p.v + (1.0 - b2) * g * g
-        mhat = p.m / (1.0 - b1 ** p.step)
-        vhat = p.v / (1.0 - b2 ** p.step)
-        new = p.data * (1.0 - lr * weight_decay) if weight_decay else p.data
-        p.tensor.data = new - (lr * mhat / (np.sqrt(vhat) + ADAM_EPS))
+        m, v, data = p.m, p.v, p.data
+        num, den = (slot[:g.size].reshape(g.shape) for slot in scratch)
+        np.multiply(m, b1, out=m)
+        np.multiply(g, 1.0 - b1, out=num)
+        np.add(m, num, out=m)
+        np.multiply(v, b2, out=v)
+        np.multiply(g, 1.0 - b2, out=den)
+        np.multiply(den, g, out=den)
+        np.add(v, den, out=v)
+        np.divide(m, 1.0 - b1 ** p.step, out=num)
+        np.multiply(num, lr, out=num)
+        np.divide(v, 1.0 - b2 ** p.step, out=den)
+        np.sqrt(den, out=den)
+        np.add(den, ADAM_EPS, out=den)
+        np.divide(num, den, out=num)
+        if weight_decay:
+            np.multiply(data, 1.0 - lr * weight_decay, out=data)
+        np.subtract(data, num, out=data)
 
 
 def clip_global_norm(params: Iterable[Parameter], max_norm: float) -> float:
-    """Scale all gradients so the concatenated norm stays below max_norm."""
-    params = list(params)
+    """Scale all gradients so the concatenated norm stays below max_norm.
+
+    Each gradient array is scaled in place, except one whose memory another
+    parameter's gradient shares or that is read-only: that one is replaced
+    by a scaled copy.  The squares of the norm go through one scratch
+    buffer laid out like each gradient, so they add in the order of a fresh
+    ``g ** 2``.
+    """
+    grads = [(p, p.tensor.grad) for p in params if p.tensor.grad is not None]
+    scratch = np.empty(max((g.size for _, g in grads), default=0))
     total = 0.0
-    for p in params:
-        if p.tensor.grad is not None:
-            total += float(np.sum(p.tensor.grad ** 2))
+    for _, g in grads:
+        total += float(np.sum(np.multiply(g, g, out=_scratch_like(scratch, g))))
     norm = math.sqrt(total)
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
-        for p in params:
-            if p.tensor.grad is not None:
-                p.tensor.grad = p.tensor.grad * scale
+        owners = Counter(_owner(g) for _, g in grads)
+        for p, g in grads:
+            if owners[_owner(g)] == 1 and g.flags.writeable:
+                np.multiply(g, scale, out=g)
+            else:
+                p.tensor.grad = g * scale
     return norm
 
 

@@ -99,26 +99,26 @@ class TokenizerModel:
         ``identity_codes`` routes the code-space input through unchanged (the
         straight-through fixed point, where its estimator is exact);
         finite-difference checks of the composed loss use this together with
-        ``forced`` assignments.
+        ``forced`` assignments.  Each stack searches only its own books, so
+        the S searches run through ``ad.parallel_map``.
         """
         quantized: list[Tensor] = []
-        assigns: list[TokenAssignment] = []
         lq_total: Tensor | None = None
         beta = self.cfg.commitment_beta / len(self.stacks)
-        for s, (rep, stack) in enumerate(zip(reps, self.stacks)):
-            B, P, D = rep.shape
-            flat = ad.reshape(rep, (B * P, D))
-            p_code = ad.linear(flat, stack.down_proj.tensor)
-            assign = stack.quantize_codes(p_code.data,
-                                          forced[s] if forced is not None else None)
-            assigns.append(assign)
+        p_codes = [ad.linear(ad.reshape(rep, (-1, rep.shape[-1])), stack.down_proj.tensor)
+                   for rep, stack in zip(reps, self.stacks)]
+        codes = forced if forced is not None else [None] * len(self.stacks)
+        assigns = ad.parallel_map(
+            lambda s: self.stacks[s].quantize_codes(p_codes[s].data, codes[s]),
+            range(len(self.stacks)))
+        for rep, stack, p_code, assign in zip(reps, self.stacks, p_codes, assigns):
             lq = quantization_loss(p_code, assign.codewords, beta)
             lq_total = lq if lq_total is None else ad.add(lq_total, lq)
             target_codes = (p_code.data.copy() if identity_codes
                             else assign.reconstruction)
             st = ad.straight_through(p_code, Tensor(target_codes))
             up = ad.linear(st, stack.up_proj.tensor)
-            quantized.append(ad.reshape(up, (B, P, D)))
+            quantized.append(ad.reshape(up, rep.shape))
         return quantized, assigns, lq_total
 
     def decode(self, quantized: list[Tensor]) -> PhasePrediction:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rvqtok import autodiff as ad
 from rvqtok.autodiff import Tape, Tensor, backward, grad_check
 from rvqtok.errors import ConfigError, ShapeError
-from rvqtok.optim import Parameter, adamw_step, clip_global_norm
+from rvqtok.optim import ADAM_BETAS, ADAM_EPS, Parameter, adamw_step, clip_global_norm
 
 
 @pytest.mark.parametrize("data", [np.float32(1.5), np.arange(3, dtype=np.float32),
@@ -579,3 +579,83 @@ def test_clip_global_norm():
     assert abs(norm - math.sqrt(4 * 7)) < 1e-12
     total = np.sum(p1.tensor.grad ** 2) + np.sum(p2.tensor.grad ** 2)
     assert abs(math.sqrt(total) - 1.0) < 1e-9
+
+
+def _reference_adamw(data, m, v, step, g, lr, weight_decay):
+    """The update with a fresh array for every term."""
+    b1, b2 = ADAM_BETAS
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    mhat = m / (1.0 - b1 ** step)
+    vhat = v / (1.0 - b2 ** step)
+    new = data * (1.0 - lr * weight_decay) if weight_decay else data
+    return new - (lr * mhat / (np.sqrt(vhat) + ADAM_EPS)), m, v
+
+
+def _layouts(a: np.ndarray) -> list[np.ndarray]:
+    """``a``'s values held C-ordered, with reversed axes and strided."""
+    wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+    wide[..., ::2] = a
+    flipped = np.ascontiguousarray(a[..., ::-1])[..., ::-1]
+    return [a.copy(), np.asfortranarray(a), wide[..., ::2], flipped]
+
+
+@given(seed=st.integers(0, 2 ** 31 - 1),
+       shapes=st.lists(st.lists(st.integers(1, 5), min_size=1, max_size=3),
+                       min_size=1, max_size=4),
+       steps=st.integers(1, 4), lr=st.floats(1e-5, 0.5),
+       decay=st.sampled_from([0.0, 1e-4, 0.05, 0.3]))
+@settings(max_examples=40, deadline=None)
+def test_adamw_in_place_equals_fresh_arrays_bit_for_bit(seed, shapes, steps, lr, decay):
+    rng = np.random.default_rng(seed)
+    params = [Parameter(rng.normal(size=s), f"p{i}") for i, s in enumerate(shapes)]
+    want = [(p.data.copy(), np.zeros(p.data.shape), np.zeros(p.data.shape))
+            for p in params]
+    for step in range(1, steps + 1):
+        for i, p in enumerate(params):
+            g = _layouts(rng.normal(size=p.data.shape))[(i + step) % 4]
+            p.tensor.grad = g
+            want[i] = _reference_adamw(*want[i], step, g, lr, decay)
+        adamw_step(params, lr=lr, weight_decay=decay)
+    for p, (data, m, v) in zip(params, want):
+        for got, ref in ((p.data, data), (p.m, m), (p.v, v)):
+            assert got.tobytes() == ref.tobytes()
+
+
+@given(seed=st.integers(0, 2 ** 31 - 1),
+       shapes=st.lists(st.lists(st.integers(1, 30), min_size=1, max_size=3),
+                       min_size=1, max_size=4),
+       max_norm=st.floats(1e-3, 200.0))
+@settings(max_examples=40, deadline=None)
+def test_clip_in_place_equals_fresh_arrays_bit_for_bit(seed, shapes, max_norm):
+    # sums of squares over thousands of values add in memory order, which
+    # the layouts change
+    rng = np.random.default_rng(seed)
+    params = [Parameter(np.zeros(s), f"p{i}") for i, s in enumerate(shapes)]
+    for i, p in enumerate(params):
+        p.tensor.grad = _layouts(rng.normal(size=p.data.shape))[i % 4]
+    held = [p.tensor.grad for p in params]
+    total = sum(float(np.sum(g ** 2)) for g in held)
+    norm = math.sqrt(total)
+    scale = max_norm / norm if norm > max_norm else 1.0
+    want = [g * scale if scale != 1.0 else g.copy() for g in held]
+    assert clip_global_norm(params, max_norm) == norm
+    for p, ref in zip(params, want):
+        assert p.tensor.grad.tobytes() == ref.tobytes()
+
+
+def test_clip_scales_shared_and_read_only_gradients_once():
+    """Gradients backward can hand out as one array or views of one array
+    are each scaled once, and the arrays the caller holds are left as
+    they were; a read-only gradient gets a scaled copy."""
+    base = np.full(4, 3.0)
+    same = [Parameter(np.zeros(4), "a"), Parameter(np.zeros(4), "b"),
+            Parameter(np.zeros((2, 2)), "c"), Parameter(np.zeros(4), "d")]
+    same[0].tensor.grad = same[1].tensor.grad = base
+    same[2].tensor.grad = base.reshape(2, 2)
+    same[3].tensor.grad = np.broadcast_to(np.array([3.0]), (4,))
+    norm = clip_global_norm(same, max_norm=1.0)
+    assert norm == math.sqrt(16 * 9.0)
+    for p in same:
+        np.testing.assert_array_equal(p.tensor.grad, np.full(p.data.shape, 3.0 / 12))
+    np.testing.assert_array_equal(base, np.full(4, 3.0))

@@ -157,15 +157,25 @@ class TestTransformer:
         for i, j in enumerate(perm):
             np.testing.assert_array_equal(out_b[i].data, out_a[j].data)
 
-    def test_transformer_runs_once_per_forward(self):
+    def test_transformer_runs_once_per_forward(self, workers):
+        """A recorded forward makes one batched call; without a tape each
+        branch's B sequences are a call of their own, with equal values."""
+        workers(2)
         enc = _encoder(w=16, D=16, S=4, depth=1, heads=2, seed=3)
         calls = []
         stack = enc.transformer
         enc.transformer = lambda x: calls.append(x.shape) or stack(x)
         rng = np.random.default_rng(4)
-        enc.forward(rng.normal(size=(2, 3, 16)), np.zeros((2, 3), int),
-                    np.zeros((2, 3), int))
+        args = (rng.normal(size=(2, 3, 16)), rng.integers(0, 8, size=(2, 3)),
+                rng.integers(0, 3, size=(2, 3)))
+        with ad.Tape():
+            taped = enc.forward(*args)
         assert calls == [(4 * 2, 3, 16)]
+        calls.clear()
+        free = enc.forward(*args)
+        assert calls == [(2, 3, 16)] * 4
+        for a, b in zip(taped, free):
+            assert np.array_equal(a.data, b.data)
 
 
 def _per_branch_reference(enc, x, ch, sl):

@@ -142,11 +142,12 @@ def test_every_config_key_is_read():
 
 def test_cli_import_leaves_out_scipy_signal():
     # scipy.signal holds about half a desk process's memory; it loads on
-    # the first band-pass (eval-bands, criterion 6), not at start-up
+    # the first band-pass (eval-bands, criterion 6), not at start-up.  The
+    # inference thread pool starts on its first map, not at import.
     env = dict(os.environ, PYTHONPATH=str(Path(rvqtok.__file__).parents[1]))
-    probe = ("import sys\n"
+    probe = ("import sys, threading\n"
              "import rvqtok.cli, rvqtok.tokenizer, rvqtok.pretrain\n"
-             "print('scipy.signal' in sys.modules)\n")
+             "print('scipy.signal' in sys.modules, threading.active_count())\n")
     run = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "False"
+    assert run.stdout.strip() == "False 1"
