@@ -24,6 +24,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf as _erf
 
 from .errors import ConfigError, NumericError, ShapeError
@@ -300,13 +301,24 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact Gaussian-CDF GELU: x * Phi(x)."""
-    cdf = 0.5 * (1.0 + _erf(a.data * _INV_SQRT2))
+    """Exact Gaussian-CDF GELU: x * Phi(x).  Both rules work in place on one
+    fresh buffer each, in the order of ``x * 0.5 * (1 + erf(x / sqrt 2))``
+    and ``g * (cdf + x * pdf)``."""
+    cdf = np.multiply(a.data, _INV_SQRT2, out=np.empty_like(a.data))
+    _erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = a.data * cdf
 
     def bwd(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
-        return (g * (cdf + a.data * pdf),)
+        u = np.multiply(a.data, -0.5, out=np.empty_like(a.data))
+        u *= a.data
+        np.exp(u, out=u)
+        u *= _INV_SQRT_2PI
+        u *= a.data
+        u += cdf
+        u *= g
+        return (u,)
 
     return _record("gelu", (a,), out, bwd)
 
@@ -416,41 +428,71 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # convolution and pooling
 
 
+def _pad(a: np.ndarray, p: int) -> np.ndarray:
+    """A copy of ``a`` with ``p`` zeros at each end of its last axis."""
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + 2 * p,))
+    out[..., p:p + a.shape[-1]] = a
+    return out
+
+
+def _columns(xp: np.ndarray, k: int, n: int) -> np.ndarray:
+    """The im2col matrix of a padded (B, C, n + k - 1) array: shape (C*k, B*n),
+    row ``c*k + j`` holding ``xp[:, c, j:j + n]`` for every batch row.
+
+    This is the operand numpy's batched-matmul einsum builds for the same
+    contraction, in the same layout, so the GEMMs below run its operations.
+    """
+    B, C, _ = xp.shape
+    s0, s1, s2 = xp.strides
+    win = as_strided(xp, (B, C, n, k), (s0, s1, s2, s2), writeable=False)
+    return win.transpose(1, 3, 0, 2).reshape(C * k, B * n)
+
+
 def conv1d(x: Tensor, w: Tensor, padding: int = 0) -> Tensor:
-    """Stride-1 cross-correlation: x (B, Cin, L), w (Cout, Cin, K)."""
+    """Stride-1 cross-correlation: x (B, Cin, L), w (Cout, Cin, K).
+
+    Forward and both gradients are single im2col GEMMs.  The tape keeps only
+    the padded input; the backward rebuilds its column matrix.
+    """
     if x.ndim != 3 or w.ndim != 3:
         raise ShapeError("conv1d expects x (B, Cin, L) and w (Cout, Cin, K)")
     if x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv1d channel mismatch: input {x.shape[1]}, kernel {w.shape[1]}")
-    k = w.shape[2]
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
-    if xp.shape[2] < k:
-        raise ShapeError(f"conv1d: padded length {xp.shape[2]} shorter than kernel {k}")
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)  # (B, Cin, Lout, K)
-    out = np.einsum("bclk,ock->bol", win, w.data, optimize=True)
+    B, C, L = x.shape
+    O, _, k = w.shape
+    n = L + 2 * padding - k + 1
+    if n < 1:
+        raise ShapeError(f"conv1d: padded length {L + 2 * padding} shorter than kernel {k}")
+    xp = _pad(x.data, padding)
+    out = w.data.reshape(O, C * k) @ _columns(xp, k, n)
+    out = out.reshape(O, B, n).transpose(1, 0, 2)
 
     def bwd(g):
-        gw = np.einsum("bol,bclk->ock", g, win, optimize=True)
+        gw = _columns(xp, k, n) @ g.transpose(0, 2, 1).reshape(B * n, O)
+        gw = gw.reshape(C, k, O).transpose(2, 0, 1)
         if not x.requires_grad:  # e.g. a first conv stage over input patches
             return None, gw
         # dx: full correlation of g with the kernel flipped along K, channels swapped
-        gp = np.pad(g, ((0, 0), (0, 0), (k - 1, k - 1)))
-        gwin = np.lib.stride_tricks.sliding_window_view(gp, k, axis=2)
-        wflip = w.data[:, :, ::-1]
-        gx_pad = np.einsum("bolk,ock->bcl", gwin, wflip, optimize=True)
-        L = x.shape[2]
-        gx = gx_pad[:, :, padding:padding + L]
-        return gx, gw
+        m = n + k - 1
+        wflip = w.data[:, :, ::-1].transpose(1, 0, 2).copy().reshape(C, O * k)
+        gx = (wflip @ _columns(_pad(g, k - 1), k, m)).reshape(C, B, m).transpose(1, 0, 2)
+        return gx[:, :, padding:padding + L], gw
 
     return _record("conv1d", (x, w), out, bwd)
 
 
 def avgpool1d(x: Tensor, width: int) -> Tensor:
-    """Non-overlapping average pooling over the last axis."""
+    """Non-overlapping average pooling over the last axis.
+
+    The forward adds the ``width`` strided phases in order and divides once,
+    the operations of a mean over a trailing length-``width`` axis.
+    """
     if x.shape[-1] % width != 0:
         raise ShapeError(f"avgpool1d: length {x.shape[-1]} not divisible by width {width}")
-    shape = x.shape[:-1] + (x.shape[-1] // width, width)
-    out = x.data.reshape(shape).mean(axis=-1)
+    out = x.data[..., 0::width].copy()
+    for j in range(1, width):
+        out += x.data[..., j::width]
+    out /= width
 
     def bwd(g):
         gx = np.repeat(g, width, axis=-1) / width

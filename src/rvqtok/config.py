@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .encoder import EncoderConfig
+from .encoder import STOCK_BRANCH_LADDER, EncoderConfig, default_branch_configs
 from .errors import ConfigError
 from .pretrain import PretrainConfig
 from .tokenizer import TokenizerConfig
@@ -198,6 +198,15 @@ class RunConfig:
                               f"than one patch of model.w {m['w']} samples")
         if m["w"] % 2 != 0:
             raise ConfigError("model.w must be even (spectral targets need w/2+1 bins)")
+        if m["S"] > len(STOCK_BRANCH_LADDER):
+            raise ConfigError(f"model.S {m['S']} exceeds the "
+                              f"{len(STOCK_BRANCH_LADDER)} stock temporal branches")
+        for branch in default_branch_configs(m["S"]):
+            try:
+                branch.validate(m["w"])
+            except ConfigError as err:
+                raise ConfigError(f"model.w {m['w']} does not fit the stock temporal "
+                                  f"branches: {err}") from None
         if m["D"] % m["heads"] != 0:
             raise ConfigError("model.D must be divisible by model.heads")
         for key in ("mask_ratio", "ema_decay"):

@@ -88,6 +88,22 @@ class TokenizerModel:
         return out
 
     # ------------------------------------------------------------------
+    def search_branches(self, reps: list[Tensor], forced: list[np.ndarray] | None = None
+                        ) -> tuple[list[Tensor], list[TokenAssignment]]:
+        """Down-project per-branch (B, P, D) reps into code space and search
+        each branch's stack: the code-space inputs and the assignments.
+
+        Each stack searches only its own books, so the S searches run
+        through ``ad.parallel_map``.  ``forced`` assignments replace them.
+        """
+        p_codes = [ad.linear(ad.reshape(rep, (-1, rep.shape[-1])), stack.down_proj.tensor)
+                   for rep, stack in zip(reps, self.stacks)]
+        codes = forced if forced is not None else [None] * len(self.stacks)
+        assigns = ad.parallel_map(
+            lambda s: self.stacks[s].quantize_codes(p_codes[s].data, codes[s]),
+            range(len(self.stacks)))
+        return p_codes, assigns
+
     def quantize_branches(self, reps: list[Tensor],
                           forced: list[np.ndarray] | None = None,
                           identity_codes: bool = False
@@ -99,18 +115,12 @@ class TokenizerModel:
         ``identity_codes`` routes the code-space input through unchanged (the
         straight-through fixed point, where its estimator is exact);
         finite-difference checks of the composed loss use this together with
-        ``forced`` assignments.  Each stack searches only its own books, so
-        the S searches run through ``ad.parallel_map``.
+        ``forced`` assignments.
         """
         quantized: list[Tensor] = []
         lq_total: Tensor | None = None
         beta = self.cfg.commitment_beta / len(self.stacks)
-        p_codes = [ad.linear(ad.reshape(rep, (-1, rep.shape[-1])), stack.down_proj.tensor)
-                   for rep, stack in zip(reps, self.stacks)]
-        codes = forced if forced is not None else [None] * len(self.stacks)
-        assigns = ad.parallel_map(
-            lambda s: self.stacks[s].quantize_codes(p_codes[s].data, codes[s]),
-            range(len(self.stacks)))
+        p_codes, assigns = self.search_branches(reps, forced)
         for rep, stack, p_code, assign in zip(reps, self.stacks, p_codes, assigns):
             lq = quantization_loss(p_code, assign.codewords, beta)
             lq_total = lq if lq_total is None else ad.add(lq_total, lq)
@@ -145,12 +155,12 @@ class TokenizerModel:
 
     def token_indices(self, patches: np.ndarray, channel_idx: np.ndarray,
                       slot_idx: np.ndarray) -> np.ndarray:
-        """Code indices with extents (B, P, S, N)."""
+        """Code indices with extents (B, P, S, N): the searches alone, without
+        the commitment loss or the up-projections."""
         B, P, _ = patches.shape
         reps = self.encoder.forward(patches, channel_idx, slot_idx)
-        _, assigns, _ = self.quantize_branches(reps)
-        out = np.stack([a.indices.reshape(B, P, -1) for a in assigns], axis=2)
-        return out
+        _, assigns = self.search_branches(reps)
+        return np.stack([a.indices.reshape(B, P, -1) for a in assigns], axis=2)
 
 
 # ---------------------------------------------------------------------------

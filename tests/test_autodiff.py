@@ -1,6 +1,7 @@
 """Tape, primitive gradients, and the AdamW update."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ from hypothesis import strategies as st
 
 from rvqtok import autodiff as ad
 from rvqtok.autodiff import Tape, Tensor, backward, grad_check
+from rvqtok.encoder import STOCK_BRANCH_LADDER, BranchConfig
 from rvqtok.errors import ConfigError, ShapeError
 from rvqtok.optim import ADAM_BETAS, ADAM_EPS, Parameter, adamw_step, clip_global_norm
+
+from tests.helpers import avgpool1d_mean, conv1d_einsum, gelu_expression
 
 
 @pytest.mark.parametrize("data", [np.float32(1.5), np.arange(3, dtype=np.float32),
@@ -57,6 +61,128 @@ def test_conv1d_backward_skips_input_gradient_of_a_constant():
         backward(tape, loss)
         grads.append(w.grad)
     assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def _layout(a):
+    """Strides of the axes longer than one: the memory order later
+    reductions over ``a`` follow."""
+    return tuple(s for s, n in zip(a.strides, a.shape) if n > 1)
+
+
+def _conv_rules(x, w, padding, track, rng):
+    """conv1d's output and, for a random output gradient, its (gx, gw) rule
+    results, beside the planned-einsum forms of all three."""
+    with Tape() as tape:
+        out = ad.conv1d(Tensor(x, requires_grad=track), Tensor(w, requires_grad=True),
+                        padding=padding)
+    g = rng.normal(size=out.shape)
+    gx, gw = tape.entries[0].backward(g)
+    return (out.data, gx, gw), conv1d_einsum(x, w, padding, g)
+
+
+@given(seed=st.integers(0, 2 ** 31 - 1), batch=st.integers(2, 6),
+       channels=st.sampled_from([1, 1, 2, 3, 8]), length=st.integers(1, 24),
+       out_channels=st.integers(1, 9), k=st.integers(1, 11), pad=st.integers(0, 10),
+       track=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_conv1d_matches_planned_einsum_bytes(seed, batch, channels, length, out_channels,
+                                              k, pad, track):
+    # the im2col GEMMs are the matmuls np.einsum(optimize=True) ran, on the
+    # same operands in the same layout, so every bit of the output and of
+    # both gradients carries over.  From two rows up, that is: for a single
+    # row einsum drops the batch axis, and with one channel it multiplies
+    # the window view itself through numpy's non-BLAS loop
+    padding = min(pad, k - 1)
+    length = max(length, k - 2 * padding)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(batch, channels, length))
+    w = rng.normal(size=(out_channels, channels, k))
+    (out, gx, gw), (want, want_gx, want_gw) = _conv_rules(x, w, padding, track, rng)
+    assert out.tobytes() == want.tobytes()
+    assert gw.tobytes() == want_gw.tobytes()
+    assert gx is None if not track else gx.tobytes() == want_gx.tobytes()
+
+
+#: Every stage of the stock branches at the row counts the program runs
+#: them at: desk (w = 64) pretraining, training and inference batches of 32,
+#: 64 and 512 patches, and one paper (w = 200) window of 64.
+STOCK_STAGES = [(w, rows, branch, stage)
+                for w, counts in ((64, (32, 64, 512)), (200, (64,)))
+                for rows in counts
+                for branch in range(len(STOCK_BRANCH_LADDER))
+                for stage in (0, 1)]
+
+
+@pytest.mark.parametrize("w, rows, branch, stage", STOCK_STAGES,
+                         ids=[f"w{w}-rows{r}-branch{b}-stage{s + 1}"
+                              for w, r, b, s in STOCK_STAGES])
+def test_conv1d_stock_stages_match_planned_einsum(w, rows, branch, stage):
+    (k1, p1), (k2, p2) = STOCK_BRANCH_LADDER[branch]
+    cfg = BranchConfig(kernels=(k1, k2), paddings=(p1, p2))
+    l1, _ = cfg.stage_lengths(w)
+    channels, length = ((1, w), (cfg.filters[0], l1))[stage]
+    rng = np.random.default_rng(1000 * w + 10 * branch + stage)
+    x = rng.normal(size=(rows, channels, length))
+    kernel = rng.normal(size=(cfg.filters[stage], channels, cfg.kernels[stage]))
+    # stage 1 reads the patches, which take no gradient
+    got, want = _conv_rules(x, kernel, cfg.paddings[stage], stage == 1, rng)
+    assert (got[1] is None) == (stage == 0)
+    for a, b in zip(got, want):
+        if a is not None:
+            assert a.tobytes() == b.tobytes()
+            assert _layout(a) == _layout(b)
+
+
+def test_conv1d_tape_holds_no_column_matrix():
+    # the backward rebuilds the (C*k, B*n) column matrix from the padded
+    # input rather than keeping it on the tape
+    B, C, L, O, k, padding = 64, 8, 32, 8, 9, 4
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=(B, C, L)), requires_grad=True)
+    w = Tensor(rng.normal(size=(O, C, k)), requires_grad=True)
+    columns = C * k * B * L * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with Tape() as tape:
+            loss = ad.tsum(ad.conv1d(x, w, padding=padding))
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
+        backward(tape, loss)
+    finally:
+        tracemalloc.stop()
+    assert peak >= columns  # the forward built one; tracemalloc saw it
+    assert held < columns // 2
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+
+@given(seed=st.integers(0, 2 ** 31 - 1), lead=st.lists(st.integers(1, 9), max_size=3),
+       width=st.sampled_from([1, 2, 3, 4]), steps=st.integers(1, 40),
+       transposed=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_avgpool1d_matches_reshape_mean_bytes(seed, lead, width, steps, transposed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(*lead, steps * width))
+    if transposed and x.ndim > 1:  # the same values, laid out non-contiguously
+        x = np.swapaxes(np.ascontiguousarray(np.swapaxes(x, 0, -2)), 0, -2)
+    got = ad.avgpool1d(Tensor(x), width).data
+    want = avgpool1d_mean(x, width)
+    assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+
+@given(seed=st.integers(0, 2 ** 31 - 1), shape=st.lists(st.integers(1, 12), max_size=3),
+       scale=st.sampled_from([1e-3, 1.0, 4.0, 40.0]))
+@settings(max_examples=100, deadline=None)
+def test_gelu_in_place_matches_expression_bytes(seed, shape, scale):
+    rng = np.random.default_rng(seed)
+    a = scale * rng.normal(size=shape)
+    g = rng.normal(size=shape)
+    with Tape() as tape:
+        out = ad.gelu(Tensor(a, requires_grad=True))
+    (ga,) = tape.entries[0].backward(g)
+    want, want_ga = gelu_expression(a, g)
+    assert out.data.tobytes() == want.tobytes()
+    assert ga.tobytes() == want_ga.tobytes()
 
 
 def test_groupnorm_constant_input_is_zero():

@@ -143,7 +143,9 @@ class TestCommands:
                                           "train.lambda_circle=inf",
                                           "train.commitment_beta=nan",
                                           "synth.duration=inf",
-                                          "synth.noise_level=nan"])
+                                          "synth.noise_level=nan",
+                                          "model.S=5",
+                                          "model.w=66"])
     def test_out_of_range_config_exit_1_without_outputs(self, tmp_path, capsys,
                                                         override):
         # MICRO has 4 electrode rows and the desk profile's 8 slot rows

@@ -1,6 +1,7 @@
 """Every top-level import in the package is used (a stdlib stand-in for a
 linter's unused-import rule), and so is every top-level function and class:
-the package holds only what the program or the benchmark calls.  Every
+the package holds only what the program or the benchmark calls.  No
+``np.einsum`` call plans its contraction again on every call.  Every
 config key is read somewhere, too: a knob nothing reads is a knob that does
 nothing.  And the program's entry points start without ``scipy.signal``,
 which only a band-pass needs."""
@@ -50,6 +51,30 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def planned_einsums(source: str) -> list[str]:
+    """``einsum`` calls that pass ``optimize=``: each searches for a
+    contraction path on every call, which costs more than the small
+    contractions it plans."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "attr", None) == "einsum"
+                 or getattr(node.func, "id", None) == "einsum")
+            and any(kw.arg == "optimize" for kw in node.keywords)]
+
+
+def test_finds_a_planned_einsum():
+    source = ("import numpy as np\nfrom numpy import einsum\n"
+              "a = np.einsum('ij,ij->i', x, x)\n"
+              "b = np.einsum('ij,jk->ik', x, y, optimize=True)\n"
+              "c = einsum('ij,jk->ik', x, y,\n           optimize='greedy')\n")
+    assert planned_einsums(source) == ["line 4", "line 5"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_planned_einsum(path):
+    assert planned_einsums(path.read_text()) == []
 
 
 def _reads(tree: ast.AST) -> Counter:

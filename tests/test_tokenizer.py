@@ -205,6 +205,23 @@ class TestModel:
         assert idx.shape == (3, 4, 2, 2)  # (W, P, S, N)
         assert idx.min() >= 0 and idx.max() < 16
 
+    def test_token_indices_skip_the_commitment_loss(self, monkeypatch):
+        import rvqtok.tokenizer as tokenizer
+
+        calls = []
+        loss = tokenizer.quantization_loss
+        monkeypatch.setattr(tokenizer, "quantization_loss",
+                            lambda *args: calls.append(1) or loss(*args))
+        model = TokenizerModel(tiny_config(), seed=4)
+        wins = build_windows(tiny_corpus(), 16, 2, val_fraction=0.0)
+        batch = (wins.patches[:3], wins.channel_idx[:3], wins.slot_idx[:3])
+        idx = model.token_indices(*batch)
+        assert calls == []
+        _, assigns, _ = model.quantize_branches(model.encoder.forward(*batch))
+        assert len(calls) == len(assigns)
+        want = np.stack([a.indices.reshape(3, 4, -1) for a in assigns], axis=2)
+        assert idx.tobytes() == want.tobytes()
+
 
 class TestTrainStep:
     def _setup(self):
