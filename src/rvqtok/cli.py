@@ -3,12 +3,13 @@
 Exit status: 0 success, 1 validation/configuration error or a file that
 cannot be read or written, 2 numeric failure or running out of memory.
 Partially written outputs, and the directories a run made for them, are
-removed when a command fails.
+removed when a command fails; any other exception then propagates.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -192,7 +193,7 @@ def _train_tokenizer_from(cfg: RunConfig, recordings, levels=None):
     t = cfg.values["train"]
     tok_cfg = cfg.tokenizer_config()
     if levels is not None:
-        tok_cfg.levels = levels
+        tok_cfg = dataclasses.replace(tok_cfg, levels=levels)
     return train_tokenizer(
         recordings, tok_cfg,
         epochs=t["tokenizer_epochs"],
@@ -294,10 +295,9 @@ def _cmd_spectrum(run: _Run, args) -> int:
 def _cmd_pretrain(run: _Run, args) -> int:
     tok_model = load_tokenizer(args.tokenizer)
     recs = _corpus(run.cfg)
-    result = pretrain(recs, run.cfg.pretrain_config(), tok_model)
-    save_backbone(result.backbone, run.path("backbone.ckpt"))
-    rows = [(r["epoch"], r["split"], r["ce_loss"], r["masked_acc"])
-            for r in result.curves]
+    backbone, curves = pretrain(recs, run.cfg.pretrain_config(), tok_model)
+    save_backbone(backbone, run.path("backbone.ckpt"))
+    rows = [(r["epoch"], r["split"], r["ce_loss"], r["masked_acc"]) for r in curves]
     run.write_csv("pretrain_curves.csv", "epoch,split,ce_loss,masked_acc", rows)
     return 0
 
@@ -323,6 +323,8 @@ def _cmd_sweep_levels(run: _Run, args) -> int:
                           f"got {args.levels!r}") from None
     if not levels:
         raise ConfigError("--levels must name at least one level count")
+    if min(levels) < 1:
+        raise ConfigError(f"--levels entries must be at least 1, got {args.levels!r}")
     recs = _corpus(run.cfg)
     rows = []
     for n in levels:
@@ -359,6 +361,15 @@ _BODIES = {
 }
 
 
+#: (exception types, exit status, message prefix) of the failures a command
+#: reports.
+_FAILURES = (
+    ((ConfigError, ParseError, CompatibilityError, ShapeError, OSError), 1, "error"),
+    ((NumericError, ArithmeticError), 2, "numeric failure"),
+    (MemoryError, 2, "out of memory"),
+)
+
+
 def cmd(argv) -> int:
     """Run one subcommand; returns the process exit status."""
     parser = _build_parser()
@@ -383,19 +394,13 @@ def cmd(argv) -> int:
         status = _BODIES[args.command](run, args)
         run.finish()
         return status
-    except (ConfigError, ParseError, CompatibilityError, ShapeError,
-            OSError) as exc:
+    except BaseException as exc:
         run.cleanup()
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (NumericError, ArithmeticError) as exc:
-        run.cleanup()
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        run.cleanup()
-        print(f"out of memory: {exc}", file=sys.stderr)
-        return 2
+        for kinds, status, what in _FAILURES:
+            if isinstance(exc, kinds):
+                print(f"{what}: {exc}", file=sys.stderr)
+                return status
+        raise
 
 
 def main() -> None:

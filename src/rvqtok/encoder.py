@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
-from .optim import Parameter
+from .optim import Module, Parameter
 
 #: (kernel, padding) pairs per stage for the four stock branches, widest first.
 STOCK_BRANCH_LADDER = (
@@ -101,7 +101,7 @@ class EncoderConfig:
             b.validate(self.w)
 
 
-class Linear:
+class Linear(Module):
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
                  name: str, bias: bool = True, scale: float | None = None):
         limit = scale if scale is not None else np.sqrt(6.0 / (d_in + d_out))
@@ -111,13 +111,8 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return ad.linear(x, self.w.tensor, self.b.tensor if self.b else None)
 
-    def params(self):
-        yield self.w
-        if self.b:
-            yield self.b
 
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, dim: int, name: str):
         self.gain = Parameter(np.ones(dim), f"{name}.gain")
         self.bias = Parameter(np.zeros(dim), f"{name}.bias")
@@ -125,12 +120,8 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return ad.layernorm(x, self.gain.tensor, self.bias.tensor)
 
-    def params(self):
-        yield self.gain
-        yield self.bias
 
-
-class ConvStage:
+class ConvStage(Module):
     """conv1d (no bias) -> groupnorm -> GELU -> avgpool."""
 
     def __init__(self, c_in: int, c_out: int, kernel: int, padding: int,
@@ -151,11 +142,8 @@ class ConvStage:
         h = ad.gelu(h)
         return ad.avgpool1d(h, self.pool)
 
-    def params(self):
-        yield from (self.w, self.gain, self.bias)
 
-
-class TemporalBranch:
+class TemporalBranch(Module):
     """One inception branch mapping (B, w) patches to (B, w) features."""
 
     def __init__(self, cfg: BranchConfig, w: int, rng: np.random.Generator, name: str):
@@ -175,12 +163,8 @@ class TemporalBranch:
         h = self.stage2(h)
         return ad.reshape(h, (n, self.w))
 
-    def params(self):
-        yield from self.stage1.params()
-        yield from self.stage2.params()
 
-
-class EmbeddingTables:
+class EmbeddingTables(Module):
     """Learnable channel (spatial) and time-slot (temporal) embedding rows,
     drawn with standard deviation 0.01."""
 
@@ -191,12 +175,8 @@ class EmbeddingTables:
         self.temporal = Parameter(0.01 * rng.standard_normal((max_slots, w)),
                                   "tables.temporal")
 
-    def params(self):
-        yield self.spatial
-        yield self.temporal
 
-
-class TransformerBlock:
+class TransformerBlock(Module):
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, name: str):
         D = cfg.model_dim
         self.heads = cfg.heads
@@ -224,20 +204,8 @@ class TransformerBlock:
         m = self.fc2(ad.gelu(self.fc1(self.ln2(x))))
         return ad.add(x, ad.mul(self.ls2.tensor, m))
 
-    def params(self):
-        yield from self.ln1.params()
-        yield from self.wq.params()
-        yield from self.wk.params()
-        yield from self.wv.params()
-        yield from self.wo.params()
-        yield self.ls1
-        yield from self.ln2.params()
-        yield from self.fc1.params()
-        yield from self.fc2.params()
-        yield self.ls2
 
-
-class TransformerStack:
+class TransformerStack(Module):
     """Pre-norm residual blocks; depth 0 is the identity."""
 
     def __init__(self, cfg: EncoderConfig, depth: int, rng: np.random.Generator,
@@ -250,12 +218,8 @@ class TransformerStack:
             x = blk(x)
         return x
 
-    def params(self):
-        for blk in self.blocks:
-            yield from blk.params()
 
-
-class MultiScaleEncoder:
+class MultiScaleEncoder(Module):
     """Branches -> embeddings -> shared transformer."""
 
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator,
@@ -311,11 +275,3 @@ class MultiScaleEncoder:
         x = ad.split_map(self.transformer, ad.reshape(x, (S * B, P, D)), S)
         x = ad.reshape(x, (S, B, P, D))
         return [ad.index(x, s) for s in range(S)]
-
-    def params(self):
-        for br in self.branches:
-            yield from br.params()
-        yield from self.tables.params()
-        if self.input_proj is not None:
-            yield from self.input_proj.params()
-        yield from self.transformer.params()

@@ -40,6 +40,31 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.tensor.shape})"
 
 
+class Module:
+    """A model part whose Parameters are its attributes.
+
+    ``params`` lists them in the order the attributes were first assigned,
+    descending into attributes that are Modules or (nested) lists; anything
+    else is passed over.
+    """
+
+    def params(self) -> list[Parameter]:
+        # a loop over a stack, not a recursive closure: the closure would
+        # sit in a reference cycle holding every Parameter until the cyclic
+        # collector ran
+        out: list[Parameter] = []
+        todo = [self]
+        while todo:
+            v = todo.pop()
+            if isinstance(v, Parameter):
+                out.append(v)
+            elif isinstance(v, Module):
+                todo.extend(reversed(vars(v).values()))
+            elif isinstance(v, list):
+                todo.extend(reversed(v))
+        return out
+
+
 #: AdamW's decay rates of the first and second moments.
 ADAM_BETAS = (0.9, 0.999)
 #: Floor added to AdamW's denominator.

@@ -21,7 +21,7 @@ from .checkpoint import (ZeroDraws, config_from_header, config_header, require_f
                          restore, save_arrays)
 from .encoder import EncoderConfig, Linear, MultiScaleEncoder
 from .errors import ConfigError, NumericError
-from .optim import Parameter, adamw_step, cosine_warmup_lr
+from .optim import Module, Parameter, adamw_step
 from .signals import Recording, SynthSpec, synth_generate
 from .tokenizer import INFERENCE_BATCH, TokenizerModel, WindowSet, build_windows
 
@@ -80,7 +80,7 @@ class PretrainConfig:
             raise ConfigError("mask_ratio must lie in (0, 1)")
 
 
-class BackboneModel:
+class BackboneModel(Module):
     """Fresh multi-scale encoder plus per-(branch, level) token classifiers.
 
     Weights are drawn from ``seed``, or from ``rng`` when one is given (a
@@ -96,14 +96,6 @@ class BackboneModel:
         self.heads = [[Linear(enc.model_dim, cfg.codebook_size, rng,
                               f"head.s{s}.n{n}", scale=0.01)
                        for n in range(cfg.levels)] for s in range(enc.S)]
-
-    def params(self) -> list[Parameter]:
-        out = list(self.encoder.params())
-        out.append(self.mask_token)
-        for row in self.heads:
-            for head in row:
-                out.extend(head.params())
-        return out
 
     def forward(self, patches: np.ndarray, channel_idx: np.ndarray,
                 slot_idx: np.ndarray, mask: np.ndarray | None = None
@@ -215,15 +207,12 @@ def masked_metrics(backbone: BackboneModel, windows: WindowSet,
     return sum(losses) / masked, correct / (heads * masked)
 
 
-@dataclass
-class PretrainResult:
-    backbone: BackboneModel
-    curves: list[dict]
-
-
 def pretrain(dataset: list[Recording], cfg: PretrainConfig,
-             tokenizer: TokenizerModel) -> PretrainResult:
-    """Epoch loop over symmetric-mask views with a cosine schedule."""
+             tokenizer: TokenizerModel) -> tuple[BackboneModel, list[dict]]:
+    """Epoch loop over symmetric-mask views with a cosine schedule.
+
+    Returns the trained backbone and curve rows (one dict per epoch and split).
+    """
     check_teacher_compat(config_header(tokenizer.cfg), cfg)
     windows = build_windows(dataset, cfg.encoder.w, cfg.slots_per_window)
     train_set, val_set = windows.train, windows.val
@@ -234,33 +223,23 @@ def pretrain(dataset: list[Recording], cfg: PretrainConfig,
     # the teacher labels the very patches the backbone learns to predict
     teacher_train = teacher_tokens(train_set, tokenizer)
     teacher_val = teacher_tokens(val_set, tokenizer) if val_set.n_windows else None
-    steps_per_epoch = math.ceil(train_set.n_windows / cfg.batch_size)
-    total_steps = max(1, cfg.epochs * steps_per_epoch)
-    warmup_steps = cfg.warmup_epochs * steps_per_epoch
     rng = np.random.default_rng(cfg.seed + 1)
     curves: list[dict] = []
-    step = 0
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(train_set.n_windows)
-        ep_loss, ep_acc, n_batches = 0.0, 0.0, 0
-        for idx, batch in train_set.batches(cfg.batch_size, order):
-            lr = cosine_warmup_lr(step, total_steps, warmup_steps,
-                                  cfg.base_lr, cfg.min_lr)
-            loss, acc = pretrain_step(batch, draw_masks(batch, cfg.mask_ratio, rng),
-                                      backbone, teacher_train[idx], lr)
-            ep_loss += loss
-            ep_acc += acc
-            n_batches += 1
-            step += 1
+    for epoch, batches in train_set.schedule(cfg.epochs, cfg.batch_size, rng,
+                                             base_lr=cfg.base_lr, min_lr=cfg.min_lr,
+                                             warmup_epochs=cfg.warmup_epochs):
+        losses, accs = zip(*[pretrain_step(batch, draw_masks(batch, cfg.mask_ratio, rng),
+                                           backbone, teacher_train[idx], lr)
+                             for idx, batch, lr in batches])
         curves.append({"epoch": epoch, "split": "train",
-                       "ce_loss": ep_loss / n_batches,
-                       "masked_acc": ep_acc / n_batches})
+                       "ce_loss": sum(losses) / len(losses),
+                       "masked_acc": sum(accs) / len(accs)})
         if teacher_val is not None:
             ce, acc = masked_metrics(backbone, val_set, teacher_val,
                                      cfg.mask_ratio, seed=cfg.seed + 7)
             curves.append({"epoch": epoch, "split": "val",
                            "ce_loss": ce, "masked_acc": acc})
-    return PretrainResult(backbone, curves)
+    return backbone, curves
 
 
 def extract_features(backbone: BackboneModel, windows: WindowSet) -> np.ndarray:

@@ -64,7 +64,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, NumericError, ShapeError
-from .optim import Parameter
+from .optim import Module, Parameter
 
 #: Laplace smoothing constant for EMA cluster sizes.
 EMA_EPS = 1e-5
@@ -365,13 +365,16 @@ def quantize_level(p: np.ndarray, book: Codebook) -> tuple[np.ndarray, np.ndarra
     so the picks are those of the (B, K, d) broadcast ||q^ - v^||^2,
     including duplicate, collinear and all-zero codewords.  They use the
     book's held squared norms while its table is read-only.
-    The codewords are float64 whatever the book's dtype.
+    The codewords are float64 whatever the book's dtype.  Non-finite query
+    rows raise a NumericError.
     """
     p = np.asarray(p, dtype=np.float64)
     single = p.ndim == 1
     q = p[None, :] if single else p
     if q.shape[-1] != book.dim:
         raise ShapeError(f"query dim {q.shape[-1]} != codebook dim {book.dim}")
+    if not np.isfinite(q).all():
+        raise NumericError("quantize_level: non-finite query rows")
     table = book.entries
     # a deepcopy or unpickled copy of a held book is writable and keeps the
     # norms, which a write into it makes stale
@@ -404,7 +407,7 @@ class TokenAssignment:
 
 
 @dataclass
-class RVQStack:
+class RVQStack(Module):
     """An ordered cascade of codebooks with D <-> code-space projections."""
 
     codebooks: list[Codebook]

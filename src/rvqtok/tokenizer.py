@@ -21,7 +21,7 @@ from .checkpoint import (ZeroDraws, config_from_header, config_header, require_f
                          restore, save_arrays)
 from .encoder import EncoderConfig, Linear, MultiScaleEncoder, TransformerStack
 from .errors import ConfigError, NumericError
-from .optim import Parameter, adamw_step, clip_global_norm, cosine_warmup_lr
+from .optim import Module, adamw_step, clip_global_norm, cosine_warmup_lr
 from .rvq import (RVQStack, TokenAssignment, begin_epoch, end_epoch_reinit,
                   ema_update, kmeans_init_stack, quantization_loss)
 from .signals import Recording, bandpass
@@ -55,7 +55,7 @@ class TokenizerConfig:
         return self.encoder.w // 2 + 1
 
 
-class TokenizerModel:
+class TokenizerModel(Module):
     """Encoder, one RVQ stack per branch, decoder transformer, three heads.
 
     Weights and codebooks are drawn from ``seed``, or from ``rng`` when one
@@ -77,15 +77,6 @@ class TokenizerModel:
         self.head_cos = Linear(enc.model_dim, nb, rng, "head.cos", scale=0.02)
         # start phase predictions on the unit circle at angle zero
         self.head_cos.b.tensor.data = np.ones(nb)
-
-    def params(self) -> list[Parameter]:
-        out = list(self.encoder.params())
-        for stack in self.stacks:
-            out.extend([stack.down_proj, stack.up_proj])
-        out.extend(self.decoder.params())
-        for head in (self.head_log_amp, self.head_sin, self.head_cos):
-            out.extend(head.params())
-        return out
 
     # ------------------------------------------------------------------
     def search_branches(self, reps: list[Tensor], forced: list[np.ndarray] | None = None
@@ -204,6 +195,27 @@ class WindowSet:
             idx = np.sort(order[lo:lo + batch_size])
             yield idx, self.subset(idx)
 
+    def schedule(self, epochs: int, batch_size: int, rng: np.random.Generator, *,
+                 base_lr: float, min_lr: float, warmup_epochs: int
+                 ) -> Iterator[tuple[int, Iterator[tuple[np.ndarray, "WindowSet", float]]]]:
+        """The training schedule: per epoch, from 1, the epoch number and its
+        batches, each as (window indices, subset, learning rate).
+
+        Each epoch's order is a permutation drawn from ``rng`` as the epoch
+        starts, after the previous epoch's body has run, and its batches are
+        cut one at a time by ``batches``.  The rate follows
+        ``cosine_warmup_lr`` over all epochs' steps, warming up over the
+        first ``warmup_epochs``.
+        """
+        per_epoch = math.ceil(self.n_windows / batch_size)
+        total, warmup = max(1, epochs * per_epoch), warmup_epochs * per_epoch
+        for epoch in range(epochs):
+            order = rng.permutation(self.n_windows)
+            yield epoch + 1, (
+                (idx, batch, cosine_warmup_lr(step, total, warmup, base_lr, min_lr))
+                for step, (idx, batch) in enumerate(self.batches(batch_size, order),
+                                                    epoch * per_epoch))
+
     @property
     def train(self) -> "WindowSet":
         return self.subset(~self.val_mask)
@@ -279,19 +291,27 @@ class BandReport:
                 for band in self.mse]
 
 
+def _loss(model: TokenizerModel, batch: WindowSet
+          ) -> tuple[Tensor, dict[str, float], list[TokenAssignment]]:
+    """The objective on one batch: the reconstruction loss plus the
+    commitment loss, its per-term breakdown, and the assignments."""
+    pred, assigns, lq = model.forward(batch.patches, batch.channel_idx,
+                                      batch.slot_idx)
+    target = forward_spectrum(batch.patches)
+    total, parts = tokenizer_loss(pred, target, batch.patches,
+                                  model.cfg.lambda_circle)
+    parts["lq"] = lq.item()
+    total = ad.add(total, lq)
+    parts["total"] = total.item()
+    return total, parts, assigns
+
+
 def train_step(batch: WindowSet, model: TokenizerModel, lr: float,
                weight_decay: float) -> dict[str, float]:
     """One optimizer update; returns the per-term loss breakdown."""
     params = model.params()
     with Tape() as tape:
-        pred, assigns, lq = model.forward(batch.patches, batch.channel_idx,
-                                          batch.slot_idx)
-        target = forward_spectrum(batch.patches)
-        total, parts = tokenizer_loss(pred, target, batch.patches,
-                                      model.cfg.lambda_circle)
-        parts["lq"] = lq.item()
-        total = ad.add(total, lq)
-        parts["total"] = total.item()
+        total, parts, assigns = _loss(model, batch)
     if not math.isfinite(parts["total"]):
         raise NumericError(f"non-finite tokenizer loss: {parts}")
     backward(tape, total)
@@ -318,12 +338,7 @@ def evaluate(model: TokenizerModel, windows: WindowSet,
     sums: dict[str, float] = {}
     n = 0
     for _, chunk in windows.batches(batch_size):
-        pred, _, lq = model.forward(chunk.patches, chunk.channel_idx, chunk.slot_idx)
-        target = forward_spectrum(chunk.patches)
-        _, parts = tokenizer_loss(pred, target, chunk.patches,
-                                  model.cfg.lambda_circle)
-        parts["lq"] = lq.item()
-        parts["total"] += parts["lq"]
+        _, parts, _ = _loss(model, chunk)
         k = chunk.n_windows
         for key, v in parts.items():
             sums[key] = sums.get(key, 0.0) + v * k
@@ -362,47 +377,30 @@ def train_tokenizer(dataset: list[Recording], cfg: TokenizerConfig,
 
     Returns the trained model and curve rows (one dict per epoch and split).
     """
-    if not dataset:
-        raise ConfigError("empty dataset")
     windows = build_windows(dataset, cfg.encoder.w, slots_per_window)
     train_set, val_set = windows.train, windows.val
     del windows  # the splits hold their own copies of the patches
     if train_set.n_windows == 0:
         raise ConfigError("no training windows after the validation split")
     model = TokenizerModel(cfg, seed=seed)
-    steps_per_epoch = math.ceil(train_set.n_windows / batch_size)
-    total_steps = max(1, epochs * steps_per_epoch)
-    warmup_steps = warmup_epochs * steps_per_epoch
     curves: list[dict] = []
     if epochs == 0:
         return model, curves
     rng = np.random.default_rng(seed + 1)
-    step = 0
     seed_codebooks(model, train_set, batch_size, seed)
 
-    for epoch in range(1, epochs + 1):
+    for epoch, batches in train_set.schedule(epochs, batch_size, rng, base_lr=base_lr,
+                                             min_lr=min_lr, warmup_epochs=warmup_epochs):
         for stack in model.stacks:
             for book in stack.codebooks:
                 begin_epoch(book)
-        order = rng.permutation(train_set.n_windows)
-        train_sums: dict[str, float] = {}
-        n_batches = 0
-        for _, batch in train_set.batches(batch_size, order):
-            lr = cosine_warmup_lr(step, total_steps, warmup_steps, base_lr, min_lr)
-            parts = train_step(batch, model, lr, weight_decay)
-            n_batches += 1
-            step += 1
-            for key, v in parts.items():
-                train_sums[key] = train_sums.get(key, 0.0) + v
-        row = {"epoch": epoch, "split": "train"}
-        row.update({k: v / n_batches for k, v in train_sums.items()})
-        row["raw_mse"] = float("nan")
-        curves.append(row)
+        steps = [train_step(batch, model, lr, weight_decay) for _, batch, lr in batches]
+        curves.append({"epoch": epoch, "split": "train",
+                       **{k: sum(s[k] for s in steps) / len(steps) for k in steps[0]},
+                       "raw_mse": float("nan")})
         if val_set.n_windows:
-            val_metrics = evaluate(model, val_set, batch_size)
-            vrow = {"epoch": epoch, "split": "val"}
-            vrow.update(val_metrics)
-            curves.append(vrow)
+            curves.append({"epoch": epoch, "split": "val",
+                           **evaluate(model, val_set, batch_size)})
         # dead codes reseed from each level's own recent-input reservoir
         for stack in model.stacks:
             for book in stack.codebooks:

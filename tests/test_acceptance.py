@@ -83,8 +83,8 @@ def tokenizer_ckpt(desk_training, tmp_path_factory):
 @pytest.fixture(scope="session")
 def desk_pretraining(desk_cfg, desk_corpus, tokenizer_ckpt):
     tok_model = load_tokenizer(tokenizer_ckpt)
-    result = pretrain(desk_corpus, desk_cfg.pretrain_config(), tok_model)
-    return {"result": result, "teacher_model": tok_model}
+    backbone, curves = pretrain(desk_corpus, desk_cfg.pretrain_config(), tok_model)
+    return {"backbone": backbone, "curves": curves, "teacher_model": tok_model}
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +285,7 @@ def test_criterion_7_masked_pretraining(desk_cfg, desk_corpus, desk_pretraining)
     init_acc_ok = abs(acc0 - 1.0 / K) <= 3.0 * sigma
 
     # after the desk-scale run: masked top-1 at least 10x chance
-    curves = desk_pretraining["result"].curves
+    curves = desk_pretraining["curves"]
     train_rows = [r for r in curves if r["split"] == "train"]
     val_rows = [r for r in curves if r["split"] == "val"]
     final_acc = train_rows[-1]["masked_acc"]
@@ -293,7 +293,7 @@ def test_criterion_7_masked_pretraining(desk_cfg, desk_corpus, desk_pretraining)
     val_improves = max(r["masked_acc"] for r in val_rows) > val_rows[0]["masked_acc"]
 
     # visible positions provably uninvolved in the loss
-    backbone = desk_pretraining["result"].backbone
+    backbone = desk_pretraining["backbone"]
     batch = val.subset(np.arange(val.n_windows) < 2)
     tbatch = teacher[:2]
     bmasks = masks[:2]
@@ -325,7 +325,7 @@ def test_criterion_8_linear_probe(desk_cfg, desk_pretraining):
     recs, labels = probe_corpus(s["probe_recordings_per_class"], s["channels"],
                                 s["sample_rate"], s["duration"],
                                 seed=desk_cfg.get("run", "seed") * 10000 + 5000)
-    result = run_linear_probe(desk_pretraining["result"].backbone, recs, labels,
+    result = run_linear_probe(desk_pretraining["backbone"], recs, labels,
                               desk_cfg.get("train", "slots_per_window"))
     acc = result["held_out_accuracy"]
     ok = acc >= 0.9

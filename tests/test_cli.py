@@ -177,6 +177,35 @@ class TestCommands:
         assert cmd(["synth-gen", "--out-dir", str(tmp_path), *MICRO]) == 2
         assert not any(tmp_path.rglob("*"))
 
+    def test_diverging_training_exit_2_without_outputs(self, tmp_path, capsys):
+        # the first update blows the weights up; the next search meets
+        # non-finite rows
+        out = tmp_path / "out"
+        assert cmd(["train-tokenizer", "--out-dir", str(out), *MICRO,
+                    "--set", "train.tokenizer_lr=1e300",
+                    "--set", "train.tokenizer_min_lr=0"]) == 2
+        assert "numeric failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unmapped_exception_propagates_with_cleanup(self, tmp_path, monkeypatch):
+        def body(run, args):
+            run.write_csv("partial.csv", "a", [(1,)])
+            raise RuntimeError("bug")
+
+        monkeypatch.setitem(cli._BODIES, "synth-gen", body)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="bug"):
+            cmd(["synth-gen", "--out-dir", str(out), *MICRO])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("levels", ["0", "2,-1", "2,x", ","])
+    def test_bad_levels_exit_1_without_outputs(self, tmp_path, capsys, levels):
+        out = tmp_path / "out"
+        assert cmd(["sweep-levels", "--out-dir", str(out), *MICRO,
+                    "--levels", levels]) == 1
+        assert "--levels" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_dir_under_a_file_exit_1(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "x"

@@ -4,9 +4,11 @@ the package holds only what the program or the benchmark calls.  No
 ``np.einsum`` call plans its contraction again on every call.  Every
 config key is read somewhere, too: a knob nothing reads is a knob that does
 nothing.  And the program's entry points start without ``scipy.signal``,
-which only a band-pass needs."""
+which only a band-pass needs.  Model parts list their parameters only
+through ``Module``'s walk, in a pinned order."""
 
 import ast
+import hashlib
 import os
 import subprocess
 import sys
@@ -16,6 +18,10 @@ from pathlib import Path
 import pytest
 
 import rvqtok
+from rvqtok.checkpoint import ZeroDraws
+from rvqtok.config import load_config
+from rvqtok.pretrain import BackboneModel
+from rvqtok.tokenizer import TokenizerModel
 
 MODULES = sorted(Path(rvqtok.__file__).parent.glob("*.py"))
 #: The benchmark's sources, beside ``tests/``; its own tests are not callers.
@@ -176,3 +182,44 @@ def test_cli_import_leaves_out_scipy_signal():
     run = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "False 1"
+
+
+def params_methods(source: str) -> list[str]:
+    """Classes other than ``Module`` that define ``params``: a hand-written
+    list restates its class's attribute order, which ``Module``'s walk reads
+    from the attributes themselves."""
+    return [f"line {fn.lineno}: {node.name}.params"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and node.name != "Module"
+            for fn in node.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "params"]
+
+
+def test_finds_a_params_method():
+    source = ("class Module:\n    def params(self):\n        return []\n\n"
+              "class Linear(Module):\n    def params(self):\n        yield self.w\n")
+    assert params_methods(source) == ["line 6: Linear.params"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_params_method_outside_module(path):
+    assert params_methods(path.read_text()) == []
+
+
+#: SHA-256 of each model's newline-joined parameter names in ``params()``
+#: order, the order checkpoints store and the optimizer updates them in.
+PARAM_NAMES_SHA256 = {
+    ("desk", "tokenizer"): "e1d7a60d98b97c6dda424a6d89e30dbe43eaf0a953fc79dc018f5509180c6025",
+    ("desk", "backbone"): "a38af6965b0a232fa1f699271eaed3d81f31782c1eb902cf08ad18f74e3684c5",
+    ("paper", "tokenizer"): "e3839568212dbe9561aa65db1fbd7576ff10f5dbbea53f961edb8e9153bc732d",
+    ("paper", "backbone"): "de39548dd0b02af7154c33539488a3c5653d62770f6c6743f2982caecfff9088",
+}
+
+
+@pytest.mark.parametrize("profile, kind", sorted(PARAM_NAMES_SHA256))
+def test_param_order_pinned(profile, kind):
+    cfg = load_config(profile=profile)
+    model = (TokenizerModel(cfg.tokenizer_config(), rng=ZeroDraws()) if kind == "tokenizer"
+             else BackboneModel(cfg.pretrain_config(), rng=ZeroDraws()))
+    names = "\n".join(p.name for p in model.params())
+    assert hashlib.sha256(names.encode()).hexdigest() == PARAM_NAMES_SHA256[(profile, kind)]

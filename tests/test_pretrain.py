@@ -380,17 +380,17 @@ class TestPretrainLoop:
     def test_zero_epochs_returns_untrained(self, trained_pair):
         recs, tok_model = trained_pair
         cfg = tiny_pretrain_config(epochs=0, seed=0)
-        result = pretrain(recs, cfg, tok_model)
+        backbone, curves = pretrain(recs, cfg, tok_model)
         fresh = BackboneModel(cfg, seed=cfg.seed)
-        for a, b in zip(result.backbone.params(), fresh.params()):
+        for a, b in zip(backbone.params(), fresh.params()):
             assert np.array_equal(a.data, b.data)
-        assert result.curves == []
+        assert curves == []
 
     def test_same_seed_identical_curves(self, trained_pair):
         recs, tok_model = trained_pair
         cfg = tiny_pretrain_config(epochs=2, seed=4)
-        a = pretrain(recs, cfg, tok_model).curves
-        b = pretrain(recs, cfg, tok_model).curves
+        _, a = pretrain(recs, cfg, tok_model)
+        _, b = pretrain(recs, cfg, tok_model)
         assert a == b
 
     @staticmethod
@@ -416,7 +416,7 @@ class TestPretrainLoop:
 
         monkeypatch.setattr(pt, "pretrain_step", step)
         monkeypatch.setattr(pt, "masked_metrics", metrics)
-        curves = pt.pretrain(recs, cfg, tok_model).curves
+        _, curves = pt.pretrain(recs, cfg, tok_model)
         windows = build_windows(recs, 16, cfg.slots_per_window)
         assert sum(seen) == cfg.epochs * windows.n_windows
         return curves

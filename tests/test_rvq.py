@@ -64,6 +64,15 @@ class TestQuantizeLevel:
             dists = [float(((qn - vn[j]) ** 2).sum()) for j in range(16)]
             assert idx[i] == int(np.argmin(dists))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rows_rejected(self, bad):
+        rng = np.random.default_rng(0)
+        book = Codebook(rng.normal(size=(8, 8)))
+        queries = rng.normal(size=(8, 8))
+        queries[3, 5] = bad
+        with pytest.raises(NumericError, match="non-finite query rows"):
+            quantize_level(queries, book)
+
     def test_zero_query_falls_back_to_raw_distance(self):
         book = Codebook(np.array([[5.0, 0.0], [0.1, 0.1]]))
         idx, z = quantize_level(np.zeros(2), book)

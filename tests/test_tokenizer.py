@@ -162,6 +162,29 @@ class TestBatches:
             for name in ("patches", "channel_idx", "slot_idx", "val_mask"):
                 np.testing.assert_array_equal(getattr(chunk, name), getattr(ref, name))
 
+    def test_schedule_draws_each_order_as_its_epoch_starts(self):
+        wins = build_windows(tiny_corpus(n=2), 16, 2, val_fraction=0.0)
+        rng = np.random.default_rng(5)
+        ref = np.random.default_rng(5)
+        epochs = wins.schedule(2, 5, rng, base_lr=1.0, min_lr=0.1, warmup_epochs=1)
+        for epoch in (1, 2):
+            n, batches = next(epochs)
+            order = ref.permutation(16)
+            # the batches draw nothing; the caller's draws between epochs
+            # come before the next epoch's order
+            after_order = rng.bit_generator.state
+            got = list(batches)
+            assert rng.bit_generator.state == after_order
+            assert n == epoch
+            want = list(wins.batches(5, order))
+            for (idx, _, _), (ref_idx, _) in zip(got, want, strict=True):
+                np.testing.assert_array_equal(idx, ref_idx)
+            steps = range(4 * (epoch - 1), 4 * epoch)
+            assert [lr for *_, lr in got] == [cosine_warmup_lr(s, 8, 4, 1.0, 0.1)
+                                              for s in steps]
+            rng.random(), ref.random()
+        assert next(epochs, None) is None
+
 
 class TestModel:
     def test_head_widths_paper_patch_length(self):
