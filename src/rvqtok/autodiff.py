@@ -333,13 +333,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
                    lambda g: (g.reshape(a.shape),))
 
 
-def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return _record("transpose", (a,), np.transpose(a.data, axes),
-                   lambda g: (np.transpose(g, inv),))
-
-
 def index(a: Tensor, i: int) -> Tensor:
     """Leading-axis entry a[i]; the backward scatters into zeros."""
     def bwd(g):
@@ -387,20 +380,6 @@ def tmean(a: Tensor, axis: int | tuple[int, ...] | None = None) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # linear-algebra primitives
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError("matmul operands must have at least 2 dimensions")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
-
-    def bwd(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
-
-    return _record("matmul", (a, b), a.data @ b.data, bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -551,19 +530,7 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# softmax, lookup, losses
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return _record("softmax", (x,), out, bwd)
+# lookup, losses
 
 
 def embedding_lookup(table: Tensor, idx: np.ndarray) -> Tensor:
@@ -639,36 +606,42 @@ def irfft_onesided(re: Tensor, im: Tensor, n: int) -> Tensor:
 # attention
 
 
-def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-                        w_out: Tensor | None = None) -> Tensor:
-    """Scaled dot-product attention over (..., P, D) inputs.
+def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Scaled dot-product attention over (..., P, D) inputs, heads concatenated.
 
-    D must divide evenly into ``heads``; the optional ``w_out`` applies the
-    output projection to the concatenated heads.
+    D must divide evenly into ``heads``.  One primitive: the heads are
+    strided views of the inputs, and the backward runs the rules of the
+    products, the scale and the softmax in reverse, on the same views.
     """
     D = q.shape[-1]
     if D % heads != 0:
         raise ConfigError(f"model dimension {D} not divisible by {heads} heads")
     d_head = D // heads
-    lead = q.shape[:-2]
-    P = q.shape[-2]
+    n = q.ndim - 2
+    perm = tuple(range(n)) + (n + 1, n, n + 2)  # its own inverse
 
-    def split(t: Tensor) -> Tensor:
-        t = reshape(t, lead + (t.shape[-2], heads, d_head))
-        perm = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
-        return transpose(t, perm)  # (..., heads, P, d_head)
+    def split(a: np.ndarray) -> np.ndarray:
+        """(..., P, D) -> (..., heads, P, d_head), a view where ``a`` is contiguous."""
+        return np.transpose(a.reshape(a.shape[:-1] + (heads, d_head)), perm)
 
-    qh, kh, vh = split(q), split(k), split(v)
-    kt = transpose(kh, tuple(range(kh.ndim - 2)) + (kh.ndim - 1, kh.ndim - 2))
-    scores = mul(matmul(qh, kt), Tensor(1.0 / math.sqrt(d_head)))
-    att = softmax(scores, axis=-1)
-    ctx = matmul(att, vh)  # (..., heads, P, d_head)
-    perm_back = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
-    ctx = transpose(ctx, perm_back)
-    out = reshape(ctx, lead + (P, D))
-    if w_out is not None:
-        out = linear(out, w_out)
-    return out
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = np.asarray(1.0 / math.sqrt(d_head))
+    scores = (qh @ np.swapaxes(kh, -1, -2)) * scale
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    att = e / e.sum(axis=-1, keepdims=True)
+    out = np.transpose(att @ vh, perm).reshape(q.shape)
+
+    def bwd(g):
+        g = split(g)
+        g_att = g @ np.swapaxes(vh, -1, -2)
+        g_vh = np.swapaxes(att, -1, -2) @ g
+        g_scores = att * (g_att - (g_att * att).sum(axis=-1, keepdims=True)) * scale
+        g_qh = g_scores @ kh
+        g_kh = np.swapaxes(np.swapaxes(qh, -1, -2) @ g_scores, -1, -2)
+        return tuple(np.transpose(gh, perm).reshape(t.shape)
+                     for gh, t in ((g_qh, q), (g_kh, k), (g_vh, v)))
+
+    return _record("attention", (q, k, v), out, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,6 @@ from .spectral import forward_spectrum
 from .tokenizer import (INFERENCE_BATCH, build_windows, eval_per_band,
                         load_tokenizer, save_tokenizer, train_tokenizer)
 
-SUBCOMMANDS = ("synth-gen", "train-tokenizer", "tokenize", "reconstruct",
-               "eval-bands", "spectrum", "pretrain", "probe", "sweep-levels",
-               "gradcheck")
-
 
 def _schema_epilog() -> str:
     lines = ["config keys (set via file or --set section.key=value):"]

@@ -199,7 +199,7 @@ class TransformerBlock(Module):
         q, k, v = self.wq(h), self.wk(h), self.wv(h)
         q = ad.layernorm(q, self._unit_gain, self._zero_bias)
         k = ad.layernorm(k, self._unit_gain, self._zero_bias)
-        att = ad.multihead_attention(q, k, v, self.heads, w_out=self.wo.w.tensor)
+        att = self.wo(ad.multihead_attention(q, k, v, self.heads))
         x = ad.add(x, ad.mul(self.ls1.tensor, att))
         m = self.fc2(ad.gelu(self.fc1(self.ln2(x))))
         return ad.add(x, ad.mul(self.ls2.tensor, m))

@@ -417,12 +417,16 @@ def eval_per_band(model: TokenizerModel, recordings: list[Recording],
     """Reconstruct and report raw plus per-band MSE.
 
     Band MSE is measured on the central half of each patch (filter edge
-    exclusion); the raw MSE covers the full patch.
+    exclusion); the raw MSE covers the full patch.  A ``validation`` split
+    with no validation windows measures, and is labelled, ``all``.
     """
     w = model.cfg.encoder.w
     windows = build_windows(recordings, w, slots_per_window)
-    if split == "validation" and windows.val_mask.any():
-        windows = windows.val
+    if split == "validation":
+        if windows.val_mask.any():
+            windows = windows.val
+        else:
+            split = "all"
     rate = recordings[0].sample_rate
     x = windows.patches.reshape(-1, w)
     recon = np.concatenate([

@@ -1,6 +1,6 @@
 """Helpers several test modules share: reading a checkpoint's arrays
 without a model, the chord distance between phases, and the earlier forms of
-three tape primitives that the in-place forms must match bit for bit."""
+four tape primitives that the present forms must match bit for bit."""
 
 import math
 from pathlib import Path
@@ -58,3 +58,40 @@ def gelu_expression(a, g):
     cdf = 0.5 * (1.0 + erf(a * (1.0 / math.sqrt(2.0))))
     pdf = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * a * a)
     return a * cdf, g * (cdf + a * pdf)
+
+
+def attention_composite(q, k, v, heads, g):
+    """Multi-head attention as the composite of eleven tape entries it once
+    was (reshape and transpose per input, a transpose of the keys, matmul,
+    multiply by the scale, softmax, matmul, transpose, reshape), over arrays.
+    Returns the output and, for output gradient ``g``, the ``(gq, gk, gv)``
+    those entries' backward rules give in reverse tape order."""
+    n = q.ndim - 2
+    d_head = q.shape[-1] // heads
+    perm = tuple(range(n)) + (n + 1, n, n + 2)
+    swap = tuple(range(n + 1)) + (n + 2, n + 1)
+    # forward, one line per entry
+    rq, rk, rv = (a.reshape(a.shape[:-2] + (a.shape[-2], heads, d_head)) for a in (q, k, v))
+    qh, kh, vh = (np.transpose(r, perm) for r in (rq, rk, rv))
+    kt = np.transpose(kh, swap)
+    s1 = qh @ kt
+    scale = np.asarray(1.0 / math.sqrt(d_head))
+    s2 = s1 * scale
+    z = s2 - s2.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    att = e / e.sum(axis=-1, keepdims=True)
+    c = att @ vh
+    ct = np.transpose(c, perm)
+    out = ct.reshape(q.shape)
+    # backward, entries in reverse; the scale's own gradient is not formed
+    g_c = np.transpose(g.reshape(ct.shape), np.argsort(perm))
+    g_att = g_c @ np.swapaxes(vh, -1, -2)
+    g_vh = np.swapaxes(att, -1, -2) @ g_c
+    g_s2 = att * (g_att - (g_att * att).sum(axis=-1, keepdims=True))
+    g_s1 = g_s2 * scale
+    g_qh = g_s1 @ np.swapaxes(kt, -1, -2)
+    g_kt = np.swapaxes(qh, -1, -2) @ g_s1
+    g_kh = np.transpose(g_kt, np.argsort(swap))
+    grads = tuple(np.transpose(gh, np.argsort(perm)).reshape(a.shape)
+                  for gh, a in ((g_qh, q), (g_kh, k), (g_vh, v)))
+    return out, grads

@@ -14,7 +14,8 @@ from rvqtok.encoder import STOCK_BRANCH_LADDER, BranchConfig
 from rvqtok.errors import ConfigError, ShapeError
 from rvqtok.optim import ADAM_BETAS, ADAM_EPS, Parameter, adamw_step, clip_global_norm
 
-from tests.helpers import avgpool1d_mean, conv1d_einsum, gelu_expression
+from tests.helpers import (attention_composite, avgpool1d_mean, conv1d_einsum,
+                           gelu_expression)
 
 
 @pytest.mark.parametrize("data", [np.float32(1.5), np.arange(3, dtype=np.float32),
@@ -285,7 +286,7 @@ def test_backward_matmul_matches_finite_differences():
     rng = np.random.default_rng(11)
     a = rng.normal(size=(3, 4))
     b = Tensor(rng.normal(size=(4, 2)))
-    err = grad_check(lambda t: ad.tsum(ad.matmul(t, b)), Tensor(a))
+    err = grad_check(lambda t: ad.tsum(ad.linear(t, b)), Tensor(a))
     assert err < 1e-5
 
 
@@ -296,7 +297,7 @@ def test_backward_deterministic_repeat():
     def run():
         xt = Tensor(x.copy(), requires_grad=True)
         with Tape() as tape:
-            y = ad.matmul(xt, xt)
+            y = ad.linear(xt, xt)
             z = ad.gelu(y)
             loss = ad.tsum(ad.square(z))
         backward(tape, loss)
@@ -327,7 +328,7 @@ def retained_backward(tape, loss):
     return grads
 
 
-GRAPH_OPS = ("add", "sub", "mul", "square", "gelu", "mask_views", "matmul")
+GRAPH_OPS = ("add", "sub", "mul", "square", "gelu", "mask_views", "linear")
 
 
 def random_graph(seed, ops):
@@ -352,8 +353,8 @@ def random_graph(seed, ops):
             views = ad.add(ad.mul(ad.reshape(a, (1, B, P, w)), Tensor(~hide)),
                            ad.mul(token, Tensor(hide)))
             return ad.tsum(views, axis=0)
-        if op == "matmul":
-            return ad.matmul(a, weight)
+        if op == "linear":
+            return ad.linear(a, weight)
         if op in ("square", "gelu"):
             return getattr(ad, op)(a)
         return getattr(ad, op)(a, b)
@@ -414,7 +415,7 @@ def test_grad_check_sum_of_squares():
 def test_grad_check_gelu_chain():
     rng = np.random.default_rng(4)
     w = Tensor(rng.normal(size=(5, 3)))
-    err = grad_check(lambda t: ad.tsum(ad.gelu(ad.matmul(t, w))),
+    err = grad_check(lambda t: ad.tsum(ad.gelu(ad.linear(t, w))),
                      Tensor(rng.normal(size=(2, 5))))
     assert err < 1e-5
 
@@ -427,11 +428,6 @@ def _case_add(rng, shape):
 def _case_mul(rng, shape):
     c = Tensor(rng.normal(size=shape))
     return lambda t: ad.tsum(ad.mul(t, c))
-
-
-def _case_matmul(rng, shape):
-    w = Tensor(rng.normal(size=(shape[-1], 3)))
-    return lambda t: ad.tsum(ad.square(ad.matmul(t, w)))
 
 
 def _case_linear(rng, shape):
@@ -464,10 +460,6 @@ def _case_gelu(rng, shape):
 
 def _case_avgpool1d(rng, shape):
     return lambda t: ad.tsum(ad.square(ad.avgpool1d(ad.reshape(t, (1, 2, -1)), 2)))
-
-
-def _case_softmax(rng, shape):
-    return lambda t: ad.tsum(ad.square(ad.softmax(t, axis=-1)))
 
 
 def _case_embedding(rng, shape):
@@ -510,10 +502,6 @@ def _case_expm1(rng, shape):
     return lambda t: ad.tsum(ad.expm1(t))
 
 
-def _case_transpose(rng, shape):
-    return lambda t: ad.tsum(ad.square(ad.transpose(t, (1, 0))))
-
-
 def _case_cross_entropy(rng, shape):
     labels = rng.integers(0, shape[-1], size=shape[:-1])
     return lambda t: ad.tsum(ad.cross_entropy_logits(t, labels))
@@ -522,14 +510,12 @@ def _case_cross_entropy(rng, shape):
 PRIMITIVE_CASES = {
     "add": _case_add,
     "mul": _case_mul,
-    "matmul": _case_matmul,
     "linear": _case_linear,
     "conv1d": _case_conv1d,
     "groupnorm": _case_groupnorm,
     "layernorm": _case_layernorm,
     "gelu": _case_gelu,
     "avgpool1d": _case_avgpool1d,
-    "softmax": _case_softmax,
     "embedding": _case_embedding,
     "concat": _case_concat,
     "index": _case_index,
@@ -539,7 +525,6 @@ PRIMITIVE_CASES = {
     "div": _case_div,
     "sqrt": _case_sqrt,
     "expm1": _case_expm1,
-    "transpose": _case_transpose,
     "cross_entropy": _case_cross_entropy,
 }
 
@@ -637,14 +622,37 @@ def test_attention_rejects_bad_head_count():
 
 def test_attention_gradients():
     rng = np.random.default_rng(29)
-    k = Tensor(rng.normal(size=(1, 3, 4)))
-    v = Tensor(rng.normal(size=(1, 3, 4)))
     w_out = Tensor(rng.normal(size=(4, 4)))
 
-    def f(t):
-        return ad.tsum(ad.square(ad.multihead_attention(t, k, v, heads=2, w_out=w_out)))
+    def f(t):  # t stacks q, k and v
+        att = ad.multihead_attention(*(ad.index(t, i) for i in range(3)), heads=2)
+        return ad.tsum(ad.square(ad.linear(att, w_out)))
 
-    assert grad_check(f, Tensor(rng.normal(size=(1, 3, 4)))) < 1e-5
+    assert grad_check(f, Tensor(rng.normal(size=(3, 1, 3, 4)))) < 1e-5
+
+
+@given(seed=st.integers(0, 2 ** 31 - 1), lead=st.lists(st.integers(1, 5), min_size=1,
+                                                       max_size=2),
+       positions=st.integers(1, 9), heads=st.integers(1, 4), d_head=st.integers(1, 6),
+       scale=st.sampled_from([1e-2, 1.0, 10.0]))
+@settings(max_examples=150, deadline=None)
+def test_attention_is_one_entry_with_the_composite_bits(seed, lead, positions, heads,
+                                                        d_head, scale):
+    # the primitive runs the composite's numpy operations in its order, on
+    # the same strided views, so the output and every gradient keep each bit
+    rng = np.random.default_rng(seed)
+    shape = (*lead, positions, heads * d_head)
+    q, k, v = (scale * rng.normal(size=shape) for _ in range(3))
+    g = rng.normal(size=shape)
+    with Tape() as tape:
+        out = ad.multihead_attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)),
+                                     heads=heads)
+    assert [e.name for e in tape.entries] == ["attention"]
+    grads = tape.entries[0].backward(g)
+    want, want_grads = attention_composite(q, k, v, heads, g)
+    assert np.array_equal(out.data, want)
+    for got, expect in zip(grads, want_grads):
+        assert np.array_equal(got, expect)
 
 
 def test_index_forward_and_scatter_backward():

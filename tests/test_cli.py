@@ -8,7 +8,7 @@ import pytest
 
 from rvqtok import cli
 from rvqtok.checkpoint import save_arrays
-from rvqtok.cli import SUBCOMMANDS, _build_parser, cmd
+from rvqtok.cli import _build_parser, cmd
 from rvqtok.config import CONFIG_SCHEMA, MINIMUMS, PROFILES, load_config
 from rvqtok.errors import ConfigError
 from rvqtok.pretrain import BackboneModel, save_backbone
@@ -101,7 +101,7 @@ class TestHelpCoverage:
     def test_help_lists_every_subcommand_and_config_key(self, capsys):
         parser = _build_parser()
         help_text = parser.format_help()
-        for name in SUBCOMMANDS:
+        for name in cli._BODIES:
             assert name in help_text, name
         for section, keys in CONFIG_SCHEMA.items():
             for key in keys:

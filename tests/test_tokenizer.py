@@ -418,6 +418,18 @@ class TestEvalPerBand:
         rows = report.rows()
         assert all(r[0] == "all" for r in rows)
 
+    # 4 s gives 8 two-slot windows per recording, all starting before slot
+    # ceil(0.9 * 16) = 15, so none is held out; 8 s holds out one each
+    @pytest.mark.parametrize("seconds, label, windows", [(4.0, "all", 16),
+                                                         (8.0, "validation", 2)])
+    def test_validation_label_names_the_windows_measured(self, seconds, label, windows):
+        model = TokenizerModel(tiny_config(), seed=13)
+        recs = tiny_corpus(n=2, seconds=seconds)
+        report = eval_per_band(model, recs, STANDARD_BANDS, split="validation",
+                               slots_per_window=2)
+        assert report.split == label
+        assert report.patches == windows * 2 * 2  # 2 channels x 2 slots
+
     def test_patch_order_invariance(self):
         cfg = tiny_config()
         model = TokenizerModel(cfg, seed=14)
